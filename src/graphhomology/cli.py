@@ -218,7 +218,8 @@ def _suite_items(config: RunConfig):
         yield "f∘g = t", bialgebra.mag_compose(f, g, config.degree) == ident
         yield "g∘f = t", bialgebra.mag_compose(g, f, config.degree) == ident
     elif config.suite == "interchange":
-        for case, w in enumerate(_random_words(rng, count=20)):
+        for case in range(20):
+            w = symplectic.random_split_word(rng)
             n = len(w.factors)
             for p in range(0, n):
                 q = n - 1 - p
@@ -255,21 +256,6 @@ def _products_of(pool, max_components: int):
         frontier = [graphs.disjoint_union(g, c) for g in frontier for c in pool]
         out.extend(frontier)
     return out
-
-
-def _random_words(rng: random.Random, count: int):
-    words = []
-    for _ in range(count):
-        n_factors = rng.randint(3, 5)
-        shape = [rng.choice((2, 2, 3)) for _ in range(n_factors)]
-        if sum(shape) % 2:
-            shape[0] += 1
-        m = sum(shape) // 2
-        slots = list(range(1, 2 * m + 1))
-        rng.shuffle(slots)
-        pairs = [(slots[2 * k], slots[2 * k + 1]) for k in range(m)]
-        words.append(symplectic.split_S(pairs, shape))
-    return words
 
 
 def _bridge_graphs(config: RunConfig):

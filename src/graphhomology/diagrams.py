@@ -6,6 +6,13 @@ pair.  Packaged diagrams take the pairing modulo independent permutations of
 consecutive slot blocks ("packages"); a chord inside one package annihilates
 the class at construction.
 
+A class is fixed by the multiset of package pairs its chords join, and its
+canonical representative, the lexicographically smallest pairing in the
+orbit, is built from that multiset directly by the slot assignment of
+`varphi_inverse` (see `_canonical_packaged`), in time linear in the number of
+chords.  ``tests/test_diagrams.py`` checks it against the brute-force orbit
+search ``_orbit_min``.
+
 The differential contracts one cross-package chord at a time, deleting its
 endpoints and merging the higher package's remaining slots into the lower one
 (at the lower position, slot order preserved).  Its sign mirrors the graph
@@ -15,11 +22,10 @@ commutes term by term.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .exactlinalg import LinComb
-from .graphs import Graph, graph
+from .graphs import Graph, graph, valences
 
 __all__ = [
     "ChordDiagram",
@@ -196,25 +202,46 @@ def _package_blocks(shape) -> list[range]:
     return blocks
 
 
+def _slot_pairs(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """Slot assignment: vertex v's edge-ends take consecutive slots.
+
+    Vertex v owns the block of slots after those of vertices 1..v-1, one slot
+    per edge-end; walking the sorted (i, j), i < j, edge list in order, each
+    end takes the next free slot of its vertex.  Returns the sorted pairs.
+    """
+    valence = [0] * (n + 1)
+    for i, j in edges:
+        valence[i] += 1
+        valence[j] += 1
+    free = [1] * (n + 1)
+    for v in range(2, n + 1):
+        free[v] = free[v - 1] + valence[v - 1]
+    pairs = []
+    for i, j in edges:
+        pairs.append((free[i], free[j]))
+        free[i] += 1
+        free[j] += 1
+    return tuple(sorted(pairs))
+
+
 def _canonical_packaged(shape, pairs) -> PackagedDiagram:
-    """Lexicographic minimum of the within-package orbit.
+    """Lexicographic minimum of the within-package orbit, built directly.
 
     Cross-package pairs keep their written order under any within-package
     permutation (packages are increasing blocks), so the orbit carries no
-    signs; intra-package pairs never reach here.
+    signs; intra-package pairs never reach here.  Sorted pairs list every
+    chord leaving package k before any leaving package k + 1, and compare a
+    chord's far end before the next chord's near end; so the minimum gives
+    each package's incoming ends its first slots, ordered by source package,
+    and its outgoing ends the rest, ordered by target package.  That is
+    `_slot_pairs` on the sorted package pairs (``_orbit_min`` in
+    ``tests/test_diagrams.py`` is the brute-force check).
     """
-    blocks = _package_blocks(shape)
-    best = None
-    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        relabel = {}
-        for block, perm in zip(blocks, perms):
-            for src, dst in zip(block, perm):
-                relabel[src] = dst
-        cand = tuple(sorted((min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
-                            for a, b in pairs))
-        if best is None or cand < best:
-            best = cand
-    return PackagedDiagram(tuple(shape), best)
+    owner = [0]
+    for k, size in enumerate(shape, start=1):
+        owner.extend([k] * size)
+    edges = sorted((owner[a], owner[b]) for a, b in pairs)
+    return PackagedDiagram(tuple(shape), _slot_pairs(len(shape), edges))
 
 
 def package(d: ChordDiagram, shape) -> LinComb:
@@ -245,27 +272,13 @@ def varphi_inverse(g: Graph) -> PackagedDiagram:
     Walking vertices in increasing order and the canonical edge list in order,
     each occurrence of the vertex receives the next free slot; the resulting
     pairing, packaged by the valence shape, maps back to g under the norm map.
+    The edges of g are its package pairs, so this pairing is already the
+    canonical representative of its class (see `_canonical_packaged`).
     """
-    from .graphs import valences
-
     vals = valences(g)
     if any(v < 2 for v in vals):
         raise LowValenceError(f"every vertex needs valence >= 2, got {vals}")
-    slots = [[0, 0] for _ in g.edges]
-    counter = 1
-    for v in range(1, g.n + 1):
-        for idx, (i, j) in enumerate(g.edges):
-            if i == v:
-                slots[idx][0] = counter
-                counter += 1
-            if j == v:
-                slots[idx][1] = counter
-                counter += 1
-    pairs = [(min(a, b), max(a, b)) for a, b in slots]
-    result = package(chord_diagram(pairs), tuple(vals))
-    [(pd, coeff)] = list(result.items())
-    assert coeff == 1
-    return pd
+    return PackagedDiagram(tuple(vals), _slot_pairs(g.n, g.edges))
 
 
 def _contract_chord(pd: PackagedDiagram, chord: tuple[int, int]) -> PackagedDiagram | None:

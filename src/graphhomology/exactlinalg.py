@@ -127,10 +127,17 @@ class LinComb:
 
     def mapped(self, f: Callable[[Hashable], "LinComb"]) -> "LinComb":
         """Linear extension of a basis map f: key -> LinComb."""
-        out = LinComb.zero()
+        out: dict[Hashable, Fraction] = {}
         for key, val in self._terms.items():
-            out = out + f(key).scale(val)
-        return out
+            for new, coeff in f(key)._terms.items():
+                acc = out.get(new, Fraction(0)) + coeff * val
+                if acc:
+                    out[new] = acc
+                else:
+                    out.pop(new, None)
+        result = LinComb.__new__(LinComb)
+        result._terms = out
+        return result
 
     def map_keys(self, f: Callable[[Hashable], Hashable]) -> "LinComb":
         """Linear extension of an injective-on-support basis relabelling."""
@@ -220,9 +227,6 @@ class SparseMatrix:
         by_row: dict[int, list[tuple[int, Fraction]]] = {}
         for (r, c), val in self.entries:
             by_row.setdefault(r, []).append((c, val))
-        by_col: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), val in other.entries:
-            by_col.setdefault(c, []).append((r, val))
         other_rows: dict[int, dict[int, Fraction]] = {}
         for (r, c), val in other.entries:
             other_rows.setdefault(r, {})[c] = val

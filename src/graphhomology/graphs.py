@@ -47,6 +47,8 @@ __all__ = [
     "BadVertexError",
     "NoSuchEdgeError",
     "SizeMismatchError",
+    "OrbitTooLargeError",
+    "LIE_CLASS_MAX_N",
 ]
 
 
@@ -60,6 +62,10 @@ class NoSuchEdgeError(ValueError):
 
 class SizeMismatchError(ValueError):
     pass
+
+
+class OrbitTooLargeError(ValueError):
+    """A relabelling-orbit search over n! permutations too large to finish."""
 
 
 @dataclass(frozen=True, order=True)
@@ -252,6 +258,9 @@ def _relabel(g: Graph, perm) -> Graph:
     return graph(g.n, ((perm[i - 1], perm[j - 1]) for i, j in g.edges))
 
 
+LIE_CLASS_MAX_N = 10
+
+
 @dataclass(frozen=True, order=True)
 class GraphClass:
     """Basis element of the signed-relabelling quotient: the orbit-minimal graph."""
@@ -267,8 +276,14 @@ def lie_class(g: Graph) -> LinComb:
 
     The orbit minimum over all relabellings is the representative, with the
     sigma_act sign (sgn times the re-orientation factor); a graph related to
-    itself with sign -1 is annihilated.
+    itself with sign -1 is annihilated.  The search visits all n!
+    relabellings, so graphs with more than LIE_CLASS_MAX_N vertices, which
+    would take from minutes to hours, are refused.
     """
+    if g.n > LIE_CLASS_MAX_N:
+        raise OrbitTooLargeError(
+            f"lie_class searches {g.n}! relabellings; at most "
+            f"{LIE_CLASS_MAX_N} vertices are supported")
     best: Graph | None = None
     best_signs: set[int] = set()
     for perm in itertools.permutations(range(1, g.n + 1)):

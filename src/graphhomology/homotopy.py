@@ -259,25 +259,40 @@ def polygon_complex(max_n: int) -> ChainComplexSlice:
     return slice_from_bases(bases)
 
 
+def _edge_bounded(bases: dict[int, list[Graph]]) -> dict[int, bool]:
+    """Completeness under an edge bound: only degree 1, which has no
+    loopless connected graph of valence >= 2, is complete."""
+    return {n: n < 2 for n in bases}
+
+
 def reduced_core_complex(max_n: int, max_e: int) -> ChainComplexSlice:
     """Connected minimum-valence-3 graphs with bounded vertices and edges.
 
-    Contraction preserves the valence bound and lowers the edge count, so the
-    truncation is differential-closed; the slice projects for safety.
+    Contraction lowers the edge count, so the differential maps the slice
+    into itself; the slice projects for safety.  The edge bound still cuts
+    every degree n >= 2 short: graphs with more than max_e edges contract
+    onto the kept ones, so no degree is marked complete and no homology
+    dimension is reliable.  Contraction keeps e - n; complete degrees come
+    from a fixed loop order, as in `mixed_stripe`.
     """
     bases: dict[int, list[Graph]] = {}
     for n in range(1, max_n + 1):
         bases[n] = [g for g in enumerate_graphs(n, max_e, 3, connected_only=True)]
-    return slice_from_bases(bases, project=True)
+    return slice_from_bases(bases, project=True, complete=_edge_bounded(bases))
 
 
 def mixed_quotient_complex(max_n: int, max_e: int) -> ChainComplexSlice:
-    """Mixed connected graphs (min valence 2) with the projected differential."""
+    """Mixed connected graphs (min valence 2) with the projected differential.
+
+    As in `reduced_core_complex`, the edge bound leaves every degree n >= 2
+    incomplete, so no homology dimension is reliable; `mixed_stripe` builds
+    complete degrees at a fixed loop order.
+    """
     bases: dict[int, list[Graph]] = {}
     for n in range(1, max_n + 1):
         bases[n] = [g for g in enumerate_graphs(n, max_e, 2, connected_only=True)
                     if classify(g) == Classification.MIXED]
-    return slice_from_bases(bases, project=True)
+    return slice_from_bases(bases, project=True, complete=_edge_bounded(bases))
 
 
 def mixed_stripe(loop: int, max_n: int) -> ChainComplexSlice:

@@ -37,6 +37,7 @@ __all__ = [
     "symplectic_form",
     "tstar",
     "split_S",
+    "random_split_word",
     "word_to_graphs",
     "graph_to_word",
     "matrix_sum_product",
@@ -307,6 +308,23 @@ def split_S(mono: PairMonomial | list, shape) -> TensorWord:
         factors.append(monomial(flat[pos:pos + size]))
         pos += size
     return TensorWord(tuple(factors))
+
+
+def random_split_word(rng, min_factors: int = 3, max_factors: int = 5) -> TensorWord:
+    """`split_S` of a random pairing, cut into min..max factors of degree 2 or 3.
+
+    The first factor takes one more slot when the degrees add up to an odd
+    number.  Draws from ``rng`` in a fixed order, so a seed fixes the word.
+    """
+    n_factors = rng.randint(min_factors, max_factors)
+    shape = [rng.choice((2, 2, 3)) for _ in range(n_factors)]
+    if sum(shape) % 2:
+        shape[0] += 1
+    m = sum(shape) // 2
+    slots = list(range(1, 2 * m + 1))
+    rng.shuffle(slots)
+    pairs = [(slots[2 * k], slots[2 * k + 1]) for k in range(m)]
+    return split_S(pairs, shape)
 
 
 def _word_to_graphs_single(w: TensorWord) -> LinComb:

@@ -30,6 +30,7 @@ import random
 from graphhomology.exactlinalg import (
     LinComb, chain_contraction, homology_dims, rank)
 from graphhomology import bialgebra, diagrams, graphs, homotopy, symplectic
+from graphhomology.symplectic import random_split_word
 
 G_EX = graphs.graph(3, [(1, 2), (1, 2), (1, 3), (2, 3)])
 TRIPLE = graphs.graph(2, [(1, 2), (1, 2), (1, 2)])
@@ -46,18 +47,6 @@ def report(number, ok, detail=""):
     RESULTS.append(line)
     print(line)
     return ok
-
-
-def random_split_word(rng, min_factors=3, max_factors=5):
-    n_factors = rng.randint(min_factors, max_factors)
-    shape = [rng.choice((2, 2, 3)) for _ in range(n_factors)]
-    if sum(shape) % 2:
-        shape[0] += 1
-    m = sum(shape) // 2
-    slots = list(range(1, 2 * m + 1))
-    rng.shuffle(slots)
-    pairs = [(slots[2 * k], slots[2 * k + 1]) for k in range(m)]
-    return symplectic.split_S(pairs, shape)
 
 
 def shapes(total, min_part=2):

@@ -111,6 +111,22 @@ def test_homology_polygons(capsys):
             assert entry["dim"] == 0
 
 
+def test_homology_edge_bound_not_reliable(capsys):
+    # an edge bound cuts every degree short, so nothing it gives is reliable
+    rc, out = run_cli(["homology", "--max-n", "4", "--edges", "6"], capsys)
+    assert rc == 0
+    assert '"reliable": true' not in out
+    assert json.loads(out)["3"]["dim"] == 9
+
+
+def test_diff_lie_refuses_large_graph(tmp_path, capsys):
+    path = write_json(tmp_path, "g.json",
+                      {"n": 11, "edges": [[k, k + 1] for k in range(1, 11)]})
+    rc = main(["diff", "--lie", "--input", path])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_verify_d2_passes(capsys):
     rc, out = run_cli(["verify", "--suite", "d2", "--vertices", "4",
                        "--edges", "5"], capsys)

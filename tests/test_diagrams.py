@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -25,7 +26,8 @@ from graphhomology.diagrams import (
     varphi,
     varphi_inverse,
 )
-from graphhomology.graphs import differential, graph
+from graphhomology.graphs import differential, enumerate_graphs, graph, valences
+from graphhomology.symplectic import random_split_word, tstar
 
 D_EX = chord_diagram([(1, 4), (2, 7), (3, 5), (6, 8)])
 G_EX = graph(3, [(1, 2), (1, 2), (1, 3), (2, 3)])
@@ -60,6 +62,37 @@ def packaged_classes(m):
             assert c == 1
             seen.add(pd)
     return sorted(seen)
+
+
+def package_blocks(shape):
+    blocks, start = [], 1
+    for size in shape:
+        blocks.append(tuple(range(start, start + size)))
+        start += size
+    return blocks
+
+
+def relabelled(pairs, relabel):
+    return tuple(sorted((min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
+                        for a, b in pairs))
+
+
+def _orbit_min(shape, pairs):
+    """Brute force: the smallest pairing over all within-package permutations."""
+    blocks = package_blocks(shape)
+    best = None
+    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        relabel = {src: dst for block, perm in zip(blocks, perms)
+                   for src, dst in zip(block, perm)}
+        cand = relabelled(pairs, relabel)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def assert_package_is_orbit_min(pairs, shape):
+    expected = LinComb.of(PackagedDiagram(tuple(shape), _orbit_min(shape, pairs)))
+    assert package(chord_diagram(pairs), shape) == expected, (shape, pairs)
 
 
 def test_pair_monomial_normalization():
@@ -194,3 +227,57 @@ def test_diagram_records():
     rec = diagram_to_record(pd)
     assert rec == {"shape": [3, 3, 2], "pairs": [[1, 4], [2, 5], [3, 7], [6, 8]]}
     assert diagram_from_record(rec) == LinComb.of(pd)
+
+
+def test_package_matches_orbit_min_on_all_small_classes():
+    # every pairing under every shape with parts >= 2, m <= 4
+    nonzero = 0
+    for m in range(1, 5):
+        for shape in compositions(2 * m):
+            owner = {s: k for k, block in enumerate(package_blocks(shape))
+                     for s in block}
+            for d in all_pairings(m):
+                if any(owner[a] == owner[b] for a, b in d.pairs):
+                    assert package(d, shape).is_zero()
+                    continue
+                assert_package_is_orbit_min(d.pairs, shape)
+                nonzero += 1
+    assert nonzero == 280
+
+
+def test_package_matches_orbit_min_on_scrambled_graph_diagrams():
+    # two seeded within-package scrambles of each graph's slot assignment
+    rng = random.Random(12)
+    cases = 0
+    for n in range(1, 6):
+        for g in enumerate_graphs(n, 7, min_valence=2):
+            shape = tuple(valences(g))
+            if math.prod(math.factorial(k) for k in shape) > 2000:
+                continue
+            pd = varphi_inverse(g)
+            for _ in range(2):
+                relabel = {}
+                for block in package_blocks(shape):
+                    perm = list(block)
+                    rng.shuffle(perm)
+                    relabel.update(zip(block, perm))
+                scrambled = relabelled(pd.pairs, relabel)
+                assert_package_is_orbit_min(scrambled, shape)
+                assert package(chord_diagram(scrambled), shape) == LinComb.of(pd)
+                cases += 1
+    assert cases == 1150
+
+
+def test_package_matches_orbit_min_on_word_monomials():
+    # every nonzero pairing evaluation of criterion 03's 50 seeded words
+    rng = random.Random(0)
+    checked = 0
+    for _ in range(50):
+        w = random_split_word(rng)
+        shape = w.degree_shape()
+        for mono in tstar(w).keys():
+            if package(phi(mono), shape).is_zero():
+                continue
+            assert_package_is_orbit_min(mono.pairs, shape)
+            checked += 1
+    assert checked == 18

@@ -10,6 +10,7 @@ from graphhomology.graphs import (
     BadVertexError,
     Graph,
     NoSuchEdgeError,
+    OrbitTooLargeError,
     OrientedEdgeList,
     SizeMismatchError,
     UNIT,
@@ -200,6 +201,13 @@ def test_lie_class_values():
     assert lie_class(graph(2, [])).is_zero()
     tet = graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
     assert lie_class(tet) == LinComb.of(graphs.GraphClass(tet))
+
+
+def test_lie_class_refuses_eleven_vertices():
+    # 11! relabellings would run for minutes; the guard fires before any
+    path = graph(11, [(k, k + 1) for k in range(1, 11)])
+    with pytest.raises(OrbitTooLargeError):
+        lie_class(path)
 
 
 def test_lie_class_orbit_consistency():

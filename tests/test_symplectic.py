@@ -18,6 +18,7 @@ from graphhomology.symplectic import (
     monomial,
     poisson_bracket,
     poly,
+    random_split_word,
     split_S,
     symplectic_form,
     tstar,
@@ -28,18 +29,6 @@ from graphhomology.symplectic import (
 
 W_EX = word_from_strings(["p1 p2 p3", "q1 q2 p4", "q3 q4"])
 G_EX = graph(3, [(1, 2), (1, 2), (1, 3), (2, 3)])
-
-
-def random_split_word(rng, max_factors=5):
-    n_factors = rng.randint(3, max_factors)
-    shape = [rng.choice((2, 2, 3)) for _ in range(n_factors)]
-    if sum(shape) % 2:
-        shape[0] += 1
-    m = sum(shape) // 2
-    slots = list(range(1, 2 * m + 1))
-    rng.shuffle(slots)
-    pairs = [(slots[2 * k], slots[2 * k + 1]) for k in range(m)]
-    return split_S(pairs, shape)
 
 
 def random_polynomial(rng, indices=(1, 2), degree=2, terms=2):
