@@ -187,36 +187,48 @@ def _cmd_homology(config: RunConfig):
     return 0
 
 
+def _defect_item(label: str, defect: LinComb):
+    """(label, ok, note) for a check that holds when its defect vanishes.
+
+    The note of a failing item gives the defect's term count and its
+    smallest term, so a FAIL line says how large the defect is.
+    """
+    if defect.is_zero():
+        return label, True, ""
+    key, coeff = min(defect.items(), key=lambda kv: kv[0])
+    return label, False, f" defect terms={len(defect)} smallest={coeff}*{key!r}"
+
+
 def _suite_items(config: RunConfig):
-    """Yield (label, ok) pairs for the selected verification suite."""
+    """Yield (label, ok, note) triples for the selected verification suite."""
     rng = random.Random(config.seed)
     if config.suite == "d2":
         for n in range(1, config.vertices + 1):
             for g in graphs.enumerate_graphs(n, config.edges):
                 val = graphs.differential(graphs.differential(LinComb.of(g)))
-                yield repr(g), val.is_zero()
+                yield _defect_item(repr(g), val)
     elif config.suite == "homotopy":
         for n in range(1, config.vertices + 1):
             for g in graphs.enumerate_graphs(n, config.edges, min_valence=2):
                 if homotopy.classify(g) != homotopy.Classification.MIXED:
                     continue
-                yield repr(g), homotopy.homotopy_defect(g).is_zero()
+                yield _defect_item(repr(g), homotopy.homotopy_defect(g))
     elif config.suite == "bialgebra":
         pool = _component_pool(3)
-        for g in _products_of(pool, max_components=3):
+        for g in graphs.products_of(pool, max_components=3):
             ok, _ = bialgebra.check_zinbiel_coalgebra(g)
-            yield f"coalgebra {g!r}", ok
-        singles = [graphs.UNIT] + _products_of(pool, max_components=2)
+            yield f"coalgebra {g!r}", ok, ""
+        singles = [graphs.UNIT] + graphs.products_of(pool, max_components=2)
         for a in singles:
             for b in singles:
                 ok, _ = bialgebra.check_compatibility(a, b)
-                yield f"compat {a!r} | {b!r}", ok
+                yield f"compat {a!r} | {b!r}", ok, ""
     elif config.suite == "series":
         f = bialgebra.series_f(config.degree)
         g = bialgebra.series_g(config.degree)
         ident = bialgebra.identity_series(config.degree)
-        yield "f∘g = t", bialgebra.mag_compose(f, g, config.degree) == ident
-        yield "g∘f = t", bialgebra.mag_compose(g, f, config.degree) == ident
+        yield "f∘g = t", bialgebra.mag_compose(f, g, config.degree) == ident, ""
+        yield "g∘f = t", bialgebra.mag_compose(g, f, config.degree) == ident, ""
     elif config.suite == "interchange":
         for case in range(20):
             w = symplectic.random_split_word(rng)
@@ -224,20 +236,20 @@ def _suite_items(config: RunConfig):
             for p in range(0, n):
                 q = n - 1 - p
                 ok, _ = bialgebra.check_interchange_signed(w, p, q)
-                yield f"word {case} split ({p},{q})", ok
+                yield f"word {case} split ({p},{q})", ok, ""
     elif config.suite == "commute":
         for g in _bridge_graphs(config):
             w = symplectic.graph_to_word(g)
             lhs = symplectic.word_to_graphs(
                 symplectic.leibniz_differential(LinComb.of(w)))
             rhs = graphs.differential(LinComb.of(g))
-            yield repr(g), lhs == rhs
+            yield _defect_item(repr(g), lhs - rhs)
     elif config.suite == "lie-diagram":
         for n in range(1, config.vertices + 1):
             for g in graphs.enumerate_graphs(n, config.edges):
                 lhs = graphs.differential(LinComb.of(g)).mapped(graphs.lie_class)
                 rhs = graphs.lie_differential(graphs.lie_class(g))
-                yield repr(g), lhs == rhs
+                yield _defect_item(repr(g), lhs - rhs)
     else:
         raise SystemExit2(f"unknown suite {config.suite}; choose from {SUITES}")
 
@@ -247,15 +259,6 @@ def _component_pool(max_vertices: int):
     for n in range(1, max_vertices + 1):
         pool.extend(graphs.enumerate_graphs(n, 3, min_valence=2, connected_only=True))
     return pool
-
-
-def _products_of(pool, max_components: int):
-    out = []
-    frontier = [graphs.UNIT]
-    for _ in range(max_components):
-        frontier = [graphs.disjoint_union(g, c) for g in frontier for c in pool]
-        out.extend(frontier)
-    return out
 
 
 def _bridge_graphs(config: RunConfig):
@@ -268,11 +271,11 @@ def _cmd_verify(config: RunConfig):
     lines = []
     failures = 0
     total = 0
-    for label, ok in _suite_items(config):
+    for label, ok, note in _suite_items(config):
         total += 1
         if not ok:
             failures += 1
-        lines.append(f"{'OK  ' if ok else 'FAIL'} {label}")
+        lines.append(f"{'OK  ' if ok else 'FAIL'} {label}{note}")
     header = (f"suite={config.suite} seed={config.seed} "
               f"vertices<={config.vertices} edges<={config.edges}")
     body = [header] + sorted(lines)

@@ -12,6 +12,17 @@ is (-1)^j times a re-orientation sign (-1)^f where f counts the other edges
 Without the re-orientation factor the square of the map is nonzero already on
 the three-vertex path with edges (1, 3), (2, 3), where it is -2 times the
 one-vertex graph; with it, d∘d = 0 holds (exhaustively tested).
+
+The quotient by signed relabelling (lie_class) keeps the orbit-minimal graph
+as the class representative.  It is found by labelling vertices one at a time
+with ordered-partition refinement (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 2014): a sorted edge tuple is smallest
+exactly when the edge-multiplicity vector (m12, m13, .., m23, ..) is
+largest, so each label is chosen to maximise the next row of that vector,
+and every partial labelling that ties with the best is kept.  Twin vertices
+(equal multiplicities to all others) give transpositions that either
+annihilate the class at once or may be skipped in the search.  The n!
+enumeration it replaces is the test oracle `_lie_orbit_min`.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ __all__ = [
     "disjoint_union",
     "connected_components",
     "assemble",
+    "products_of",
     "sigma_act",
     "perm_sign",
     "lie_class",
@@ -65,7 +77,13 @@ class SizeMismatchError(ValueError):
 
 
 class OrbitTooLargeError(ValueError):
-    """A relabelling-orbit search over n! permutations too large to finish."""
+    """A relabelling search too large to promise: more than LIE_CLASS_MAX_N vertices.
+
+    lie_class prunes by refinement and twins, but its search stays
+    exponential in the worst case: it keeps every minimising relabelling,
+    so it grows with the automorphism group (720 leaves for six disjoint
+    edges).
+    """
 
 
 @dataclass(frozen=True, order=True)
@@ -152,22 +170,26 @@ def contract(g: Graph, edge: tuple[int, int]) -> LinComb:
 
 
 def _reorientation_sign(g: Graph, i: int, j: int) -> int:
-    """(-1)^f where f counts edges (a, j) with i < a < j besides the contracted copy."""
+    """(-1)^f where f counts edges (a, j) with i < a < j.
+
+    The contracted copy (i, j) itself never counts, so g's full edge list
+    gives the same f as the list without it.
+    """
     flips = sum(1 for a, b in g.edges if b == j and i < a < j)
     return -1 if flips % 2 else 1
 
 
 def differential_graph(g: Graph) -> LinComb:
     """δ on one basis graph: signed sum of single-edge contractions."""
-    out = LinComb.zero()
-    for pos, (i, j) in enumerate(g.edges):
-        rest = g.edges[:pos] + g.edges[pos + 1:]
-        term = contract(g, (i, j))
-        if term.is_zero():
-            continue
-        sign = (-1) ** j * _reorientation_sign(Graph(g.n, rest), i, j)
-        out = out + term.scale(sign)
-    return out
+    out: dict[Graph, int] = {}
+    for i, j in g.edges:
+        for term, _ in contract(g, (i, j)).items():
+            acc = out.get(term, 0) + (-1) ** j * _reorientation_sign(g, i, j)
+            if acc:
+                out[term] = acc
+            else:
+                out.pop(term, None)
+    return LinComb(out)
 
 
 def differential(x: LinComb) -> LinComb:
@@ -186,6 +208,19 @@ def assemble(components) -> Graph:
     out = UNIT
     for c in components:
         out = disjoint_union(out, c)
+    return out
+
+
+def products_of(pool, max_components: int) -> list[Graph]:
+    """Every ordered disjoint union of 1..max_components graphs from pool.
+
+    Grouped by the number of components, each group in pool order.
+    """
+    out = []
+    frontier = [UNIT]
+    for _ in range(max_components):
+        frontier = [disjoint_union(g, c) for g in frontier for c in pool]
+        out.extend(frontier)
     return out
 
 
@@ -254,11 +289,7 @@ def sigma_act(perm, g: Graph) -> LinComb:
     return LinComb.of(relabelled, sign)
 
 
-def _relabel(g: Graph, perm) -> Graph:
-    return graph(g.n, ((perm[i - 1], perm[j - 1]) for i, j in g.edges))
-
-
-LIE_CLASS_MAX_N = 10
+LIE_CLASS_MAX_N = 12
 
 
 @dataclass(frozen=True, order=True)
@@ -271,34 +302,102 @@ class GraphClass:
         return f"GraphClass({self.rep!r})"
 
 
+def _multiplicities(g: Graph) -> list[list[int]]:
+    """Symmetric 1-indexed edge-multiplicity matrix, row and column 0 unused."""
+    m = [[0] * (g.n + 1) for _ in range(g.n + 1)]
+    for i, j in g.edges:
+        m[i][j] += 1
+        m[j][i] += 1
+    return m
+
+
+def _twin_classes(n: int, m: list[list[int]]) -> list[int] | None:
+    """Least twin of each vertex, or None when some twin pair has even multiplicity.
+
+    Twins u, v have m(u, w) = m(v, w) for every other vertex w; the
+    transposition (u v) is then an automorphism whose sigma_act sign is
+    -(-1)^m(u, v).  Twinship is transitive, so comparing with the least
+    member of each class finds every class.
+    """
+    twin = list(range(n + 1))
+    for u in range(1, n + 1):
+        if twin[u] != u:
+            continue
+        for v in range(u + 1, n + 1):
+            if twin[v] == v and all(m[u][w] == m[v][w] for w in range(1, n + 1)
+                                    if w != u and w != v):
+                if m[u][v] % 2 == 0:
+                    return None
+                twin[v] = u
+    return twin
+
+
 def lie_class(g: Graph) -> LinComb:
     """Project a graph to the signed relabelling quotient: zero or ±one class.
 
-    The orbit minimum over all relabellings is the representative, with the
-    sigma_act sign (sgn times the re-orientation factor); a graph related to
-    itself with sign -1 is annihilated.  The search visits all n!
-    relabellings, so graphs with more than LIE_CLASS_MAX_N vertices, which
-    would take from minutes to hours, are refused.
+    The representative is the orbit minimum, the smallest sorted edge tuple
+    over all relabellings, with the sigma_act sign of the relabellings that
+    reach it; a graph related to itself with sign -1 is annihilated.
+
+    For a fixed edge count the sorted edge tuple is smallest exactly when the
+    multiplicity vector (m12, m13, .., m1n, m23, ..) is largest, so the search
+    labels vertices 1, 2, .. in turn and keeps an ordered partition of the
+    unlabelled vertices, whose cells take the next labels in order.  Labelling
+    v from the first cell splits every cell by multiplicity to v, largest
+    first, which fixes v's row; only the partial labellings whose row equals
+    the level's best survive.  All survivors share the prefix of the vector,
+    so the search is exact and its leaves are every minimising relabelling.
+    Twins (see _twin_classes) with even multiplicity between them annihilate
+    the graph at once; with odd multiplicity they give a +1 automorphism that
+    fixes the partial labelling, so the search branches on one vertex of
+    each twin class.  tests/test_graphs.py checks this against the n!
+    enumeration `_lie_orbit_min`.
     """
     if g.n > LIE_CLASS_MAX_N:
         raise OrbitTooLargeError(
-            f"lie_class searches {g.n}! relabellings; at most "
+            f"lie_class searches relabellings of {g.n} vertices; at most "
             f"{LIE_CLASS_MAX_N} vertices are supported")
-    best: Graph | None = None
-    best_signs: set[int] = set()
-    for perm in itertools.permutations(range(1, g.n + 1)):
-        cand = _relabel(g, perm)
-        reversed_edges = sum(1 for a, b in g.edges if perm[a - 1] > perm[b - 1])
-        sign = perm_sign(perm) * (-1 if reversed_edges % 2 else 1)
-        if best is None or cand.edges < best.edges:
-            best = cand
-            best_signs = {sign}
-        elif cand.edges == best.edges:
-            best_signs.add(sign)
-    assert best is not None
-    if len(best_signs) == 2:
+    m = _multiplicities(g)
+    twin = _twin_classes(g.n, m)
+    if twin is None:
         return LinComb.zero()
-    return LinComb.of(GraphClass(best), best_signs.pop())
+    # each partial labelling: (labelled vertices in label order, cells of the rest)
+    level = [((), [list(range(1, g.n + 1))] if g.n else [])]
+    while level[0][1]:
+        best_row = None
+        survivors = []
+        for order, cells in level:
+            first, rest = cells[0], cells[1:]
+            tried = set()
+            for v in first:
+                if twin[v] in tried:
+                    continue
+                tried.add(twin[v])
+                mv = m[v]
+                row = []
+                split = []
+                for cell in ([w for w in first if w != v], *rest):
+                    groups: dict[int, list[int]] = {}
+                    for w in cell:
+                        groups.setdefault(mv[w], []).append(w)
+                    for mult in sorted(groups, reverse=True):
+                        row.extend([mult] * len(groups[mult]))
+                        split.append(groups[mult])
+                if best_row is None or row > best_row:
+                    best_row, survivors = row, []
+                if row == best_row:
+                    survivors.append((order + (v,), split))
+        level = survivors
+    classes = set()
+    for order, _ in level:
+        perm = [0] * g.n
+        for label, v in enumerate(order, 1):
+            perm[v - 1] = label
+        classes.add(sigma_act(perm, g))
+    if len(classes) == 2:
+        return LinComb.zero()
+    [(rep, sign)] = classes.pop().items()
+    return LinComb.of(GraphClass(rep), sign)
 
 
 def lie_differential(x: LinComb) -> LinComb:

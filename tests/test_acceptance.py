@@ -177,26 +177,17 @@ def _component_pool():
     return pool
 
 
-def _products(pool, max_components):
-    out = []
-    frontier = [graphs.UNIT]
-    for _ in range(max_components):
-        frontier = [graphs.disjoint_union(g, c) for g in frontier for c in pool]
-        out.extend(frontier)
-    return out
-
-
 def test_criterion_05_bialgebra_laws():
     pool = _component_pool()
     coalgebra_bad = sum(
         0 if bialgebra.check_zinbiel_coalgebra(g)[0] else 1
-        for g in _products(pool, 4))
-    two = [graphs.UNIT] + _products(pool, 2)
+        for g in graphs.products_of(pool, 4))
+    two = [graphs.UNIT] + graphs.products_of(pool, 2)
     compat_bad = sum(
         0 if bialgebra.check_compatibility(a, b)[0] else 1
         for a in two for b in two)
     ok = coalgebra_bad == 0 and compat_bad == 0
-    report(5, ok, f"coalgebra law on {len(_products(pool, 4))} products, "
+    report(5, ok, f"coalgebra law on {len(graphs.products_of(pool, 4))} products, "
                   f"compatibility on {len(two) ** 2} pairs")
     assert ok
 
@@ -300,7 +291,7 @@ def test_criterion_10_primitive_projector():
         0 if bialgebra.primitive_projector(LinComb.of(g)) == LinComb.of(g) else 1
         for g in pool)
     killed_bad = 0
-    prods = _products(pool, 4)
+    prods = graphs.products_of(pool, 4)
     for g in prods:
         if len(graphs.connected_components(g)) >= 2:
             if not bialgebra.primitive_projector(LinComb.of(g)).is_zero():

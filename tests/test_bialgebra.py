@@ -37,6 +37,7 @@ from graphhomology.graphs import (
     disjoint_union,
     enumerate_graphs,
     graph,
+    products_of,
 )
 from graphhomology.symplectic import word_from_strings
 
@@ -50,15 +51,6 @@ def component_pool():
     for n in range(1, 4):
         pool.extend(enumerate_graphs(n, 3, connected_only=True))
     return pool
-
-
-def products_up_to(pool, max_components):
-    out = []
-    frontier = [UNIT]
-    for _ in range(max_components):
-        frontier = [disjoint_union(g, c) for g in frontier for c in pool]
-        out.extend(frontier)
-    return out
 
 
 def test_cohalf_connected():
@@ -90,7 +82,7 @@ def test_cohalf_unit_rejected():
 
 def test_zinbiel_coalgebra_exhaustive():
     pool = component_pool()
-    for g in products_up_to(pool, 3):
+    for g in products_of(pool, 3):
         ok, defect = check_zinbiel_coalgebra(g)
         assert ok, (g, defect)
 
@@ -122,7 +114,7 @@ def test_compatibility_unit_cases():
 
 def test_compatibility_exhaustive_pairs():
     pool = component_pool()
-    two = [UNIT] + products_up_to(pool, 2)
+    two = [UNIT] + products_of(pool, 2)
     sample = two[::3]
     for a in sample:
         for b in sample:
@@ -140,7 +132,7 @@ def test_projector_fixes_connected_kills_products():
 def test_projector_idempotent_random():
     rng = random.Random(13)
     pool = component_pool()
-    prods = products_up_to(pool, 4)
+    prods = products_of(pool, 4)
     for _ in range(100):
         x = LinComb.zero()
         for _ in range(rng.randint(1, 3)):
@@ -153,7 +145,7 @@ def test_projector_kernel_and_image():
     from graphhomology.graphs import connected_components
 
     pool = component_pool()
-    for g in products_up_to(pool, 3):
+    for g in products_of(pool, 3):
         image = primitive_projector(LinComb.of(g))
         if len(connected_components(g)) == 1:
             assert image == LinComb.of(g)

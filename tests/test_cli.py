@@ -119,9 +119,9 @@ def test_homology_edge_bound_not_reliable(capsys):
     assert json.loads(out)["3"]["dim"] == 9
 
 
-def test_diff_lie_refuses_large_graph(tmp_path, capsys):
+def test_diff_lie_refuses_thirteen_vertices(tmp_path, capsys):
     path = write_json(tmp_path, "g.json",
-                      {"n": 11, "edges": [[k, k + 1] for k in range(1, 11)]})
+                      {"n": 13, "edges": [[k, k + 1] for k in range(1, 13)]})
     rc = main(["diff", "--lie", "--input", path])
     assert rc == 2
     assert "usage error" in capsys.readouterr().err
@@ -140,6 +140,21 @@ def test_verify_homotopy_reports_failures(capsys):
                        "--edges", "5"], capsys)
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_verify_fail_lines_give_defect_size(capsys):
+    rc, out = run_cli(["verify", "--suite", "homotopy", "--vertices", "4",
+                       "--edges", "5"], capsys)
+    lines = out.splitlines()
+    assert rc == 1
+    assert lines[-1] == "50 of 57 items fail"
+    fails = [ln for ln in lines if ln.startswith("FAIL")]
+    assert len(fails) == 50
+    assert all(" defect terms=" in ln and " smallest=" in ln for ln in fails)
+    assert not any("defect" in ln for ln in lines if ln.startswith("OK"))
+    # the ladder map and the differential vanish on this graph: defect -g
+    g = "Graph(3, [[1, 2], [1, 2], [1, 3], [1, 3]])"
+    assert f"FAIL {g} defect terms=1 smallest=-1*{g}" in fails
 
 
 def test_verify_interchange_passes(capsys):

@@ -203,11 +203,93 @@ def test_lie_class_values():
     assert lie_class(tet) == LinComb.of(graphs.GraphClass(tet))
 
 
-def test_lie_class_refuses_eleven_vertices():
-    # 11! relabellings would run for minutes; the guard fires before any
-    path = graph(11, [(k, k + 1) for k in range(1, 11)])
+def test_lie_class_refuses_thirteen_vertices():
+    # the search stays exponential in the worst case; the guard fires first
+    path = graph(13, [(k, k + 1) for k in range(1, 13)])
     with pytest.raises(OrbitTooLargeError):
         lie_class(path)
+
+
+def _lie_orbit_min(g):
+    """Oracle for lie_class: the smallest of all n! relabellings, with its signs."""
+    best = None
+    best_signs = set()
+    for perm in itertools.permutations(range(1, g.n + 1)):
+        cand = graph(g.n, ((perm[a - 1], perm[b - 1]) for a, b in g.edges))
+        reversed_edges = sum(1 for a, b in g.edges if perm[a - 1] > perm[b - 1])
+        sign = graphs.perm_sign(perm) * (-1 if reversed_edges % 2 else 1)
+        if best is None or cand.edges < best.edges:
+            best = cand
+            best_signs = {sign}
+        elif cand.edges == best.edges:
+            best_signs.add(sign)
+    if len(best_signs) == 2:
+        return LinComb.zero()
+    return LinComb.of(graphs.GraphClass(best), best_signs.pop())
+
+
+def _symmetric_families(n):
+    """Highly symmetric graphs on n vertices, the hard cases for the search."""
+    out = {"empty": graph(n, []),
+           "complete": graph(n, [(i, j) for i in range(1, n + 1)
+                                 for j in range(i + 1, n + 1)])}
+    if n >= 3:
+        out["cycle"] = graph(n, [(k, k + 1) for k in range(1, n)] + [(1, n)])
+    if n % 2 == 0:
+        out["disjoint edges"] = graph(n, [(k, k + 1) for k in range(1, n, 2)])
+    if n % 3 == 0:
+        out["disjoint triangles"] = graph(
+            n, [e for k in range(1, n, 3) for e in ((k, k + 1), (k, k + 2), (k + 1, k + 2))])
+    return out
+
+
+def test_lie_class_matches_orbit_min_on_all_small_graphs():
+    gs = [g for n in range(0, 6) for g in enumerate_graphs(n, 5)]
+    assert len(gs) == 3529
+    for g in gs:
+        assert lie_class(g) == _lie_orbit_min(g), g
+
+
+def test_lie_class_matches_orbit_min_on_relabelled_random_graphs():
+    rng = random.Random(12)
+    for n, e in ((6, 7), (7, 8)):
+        for _ in range(20):
+            g = graph(n, [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(e)])
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            relabelled = sigma_act(perm, g)
+            assert relabelled.mapped(lie_class) == relabelled.mapped(_lie_orbit_min), g
+            assert relabelled.mapped(lie_class) == lie_class(g), g
+
+
+def test_lie_class_matches_orbit_min_on_symmetric_families():
+    for n in range(1, 8):
+        for name, g in _symmetric_families(n).items():
+            assert lie_class(g) == _lie_orbit_min(g), (name, n)
+
+
+def test_lie_class_symmetric_families_at_twelve_vertices():
+    fam = _symmetric_families(12)
+    # a swap of two isolated vertices is odd and reverses no edge
+    assert lie_class(fam["empty"]).is_zero()
+    # the rotation is an odd 12-cycle reversing two edges, (1, 12) and (11, 12)
+    assert lie_class(fam["cycle"]).is_zero()
+    # a swap of two vertices joined by one edge is +1 (sgn -1, one reversed
+    # edge); it generates K12's automorphisms, and with exchanges of two edges
+    # (even, reversing no edge) those of the six disjoint edges
+    for name in ("complete", "disjoint edges"):
+        assert lie_class(fam[name]) == LinComb.of(graphs.GraphClass(fam[name])), name
+    # exchanging two triangles is three transpositions reversing no edge
+    assert lie_class(fam["disjoint triangles"]).is_zero()
+    # the 10-cycle's rotation is odd as well; the Petersen graph agrees
+    # with a relabelled copy of itself
+    assert lie_class(_symmetric_families(10)["cycle"]).is_zero()
+    outer = [(k, k % 5 + 1) for k in range(1, 6)]
+    spokes = [(k, k + 5) for k in range(1, 6)]
+    inner = [(k + 5, (k + 1) % 5 + 6) for k in range(1, 6)]
+    petersen = graph(10, outer + spokes + inner)
+    perm = (3, 9, 1, 10, 6, 2, 8, 5, 7, 4)
+    assert sigma_act(perm, petersen).mapped(lie_class) == lie_class(petersen)
 
 
 def test_lie_class_orbit_consistency():
