@@ -262,7 +262,7 @@ class MagSeries:
     def term_map(self) -> dict[int, LinComb]:
         return dict(self.terms)
 
-    def coeff(self, tree) -> Fraction:
+    def coeff(self, tree) -> int | Fraction:
         return self.term_map().get(tree_degree(tree), LinComb.zero()).coeff(tree)
 
 

@@ -216,13 +216,13 @@ def _suite_items(config: RunConfig):
     elif config.suite == "bialgebra":
         pool = _component_pool(3)
         for g in graphs.products_of(pool, max_components=3):
-            ok, _ = bialgebra.check_zinbiel_coalgebra(g)
-            yield f"coalgebra {g!r}", ok, ""
+            _, defect = bialgebra.check_zinbiel_coalgebra(g)
+            yield _defect_item(f"coalgebra {g!r}", defect)
         singles = [graphs.UNIT] + graphs.products_of(pool, max_components=2)
         for a in singles:
             for b in singles:
-                ok, _ = bialgebra.check_compatibility(a, b)
-                yield f"compat {a!r} | {b!r}", ok, ""
+                _, defect = bialgebra.check_compatibility(a, b)
+                yield _defect_item(f"compat {a!r} | {b!r}", defect)
     elif config.suite == "series":
         f = bialgebra.series_f(config.degree)
         g = bialgebra.series_g(config.degree)
@@ -235,8 +235,8 @@ def _suite_items(config: RunConfig):
             n = len(w.factors)
             for p in range(0, n):
                 q = n - 1 - p
-                ok, _ = bialgebra.check_interchange_signed(w, p, q)
-                yield f"word {case} split ({p},{q})", ok, ""
+                _, defect = bialgebra.check_interchange_signed(w, p, q)
+                yield _defect_item(f"word {case} split ({p},{q})", defect)
     elif config.suite == "commute":
         for g in _bridge_graphs(config):
             w = symplectic.graph_to_word(g)

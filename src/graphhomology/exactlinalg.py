@@ -1,16 +1,22 @@
 """Exact rational scalars, formal linear combinations, sparse matrices, homology.
 
-Scalars are ``fractions.Fraction`` throughout: always in lowest terms,
-positive denominator, no floating point anywhere.
+A scalar is an ``int`` or a ``fractions.Fraction`` (lowest terms, positive
+denominator), never a float.  Integers stay integers: the graph differentials
+are integral, so their matrices, the d∘d check and `rank` run in integer
+arithmetic, and a Fraction appears only where a value is not integral.
+Scalars are divided as ``Fraction(a, b)``, never ``a / b``, which gives a
+float on two ints.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
-Rational = Fraction
+Rational = int | Fraction
 
 __all__ = [
     "Rational",
@@ -29,34 +35,34 @@ __all__ = [
 ]
 
 
-def rational(value) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to an exact Fraction."""
-    if isinstance(value, Fraction):
+def rational(value) -> Rational:
+    """Coerce to an exact scalar: ints and Fractions unchanged, "p/q" to a Fraction."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def rational_str(q: Fraction) -> str:
-    """Serialize a Fraction as "p" or "p/q"; exactness survives round trips."""
+def rational_str(q: Rational) -> str:
+    """Serialize a scalar as "p" or "p/q"; exactness survives round trips."""
     return str(q)
 
 
 class LinComb:
     """A finite formal linear combination of hashable basis elements.
 
-    Immutable; zero coefficients are never stored.  Equality is equality of
-    the underlying coefficient maps.  Basis elements are expected to be in
-    canonical form already: each basis type owns its canonicalization and
-    exposes constructors returning LinComb values.
+    Immutable; zero coefficients are never stored.  Coefficients are ints or
+    Fractions (see the module docstring); int coefficients stay ints under
+    addition and integer scaling.  Equality is equality of the underlying
+    coefficient maps, in which 1 and Fraction(1) are equal.  Basis elements
+    are expected to be in canonical form already: each basis type owns its
+    canonicalization and exposes constructors returning LinComb values.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Hashable, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Hashable, Rational] | None = None):
         clean = {}
         if terms:
             for key, val in terms.items():
@@ -73,14 +79,14 @@ class LinComb:
     def of(cls, key: Hashable, coeff=1) -> "LinComb":
         return cls({key: rational(coeff)})
 
-    def items(self) -> Iterator[tuple[Hashable, Fraction]]:
+    def items(self) -> Iterator[tuple[Hashable, Rational]]:
         return iter(self._terms.items())
 
     def keys(self):
         return self._terms.keys()
 
-    def coeff(self, key: Hashable) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+    def coeff(self, key: Hashable) -> Rational:
+        return self._terms.get(key, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -100,7 +106,7 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         out = dict(self._terms)
         for key, val in other._terms.items():
-            acc = out.get(key, Fraction(0)) + val
+            acc = out.get(key, 0) + val
             if acc:
                 out[key] = acc
             else:
@@ -127,10 +133,10 @@ class LinComb:
 
     def mapped(self, f: Callable[[Hashable], "LinComb"]) -> "LinComb":
         """Linear extension of a basis map f: key -> LinComb."""
-        out: dict[Hashable, Fraction] = {}
+        out: dict[Hashable, Rational] = {}
         for key, val in self._terms.items():
             for new, coeff in f(key)._terms.items():
-                acc = out.get(new, Fraction(0)) + coeff * val
+                acc = out.get(new, 0) + coeff * val
                 if acc:
                     out[new] = acc
                 else:
@@ -144,7 +150,7 @@ class LinComb:
         out = {}
         for key, val in self._terms.items():
             new = f(key)
-            acc = out.get(new, Fraction(0)) + val
+            acc = out.get(new, 0) + val
             if acc:
                 out[new] = acc
             else:
@@ -176,15 +182,19 @@ class DegreeOutOfRangeError(KeyError):
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Sparse exact rational matrix; no explicit zeros stored."""
+    """Sparse exact matrix of int or Fraction entries; no explicit zeros stored.
+
+    Integer entries stay ints through `compose`, so the d∘d check of an
+    integral complex runs in integer arithmetic.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[tuple[int, int], Fraction], ...] = ()
+    entries: tuple[tuple[tuple[int, int], Rational], ...] = ()
 
     @classmethod
     def from_entries(cls, rows: int, cols: int,
-                     entries: Mapping[tuple[int, int], Fraction]) -> "SparseMatrix":
+                     entries: Mapping[tuple[int, int], Rational]) -> "SparseMatrix":
         clean = []
         for (r, c), val in entries.items():
             val = rational(val)
@@ -210,11 +220,11 @@ class SparseMatrix:
                     entries[(r, c)] = val
         return cls.from_entries(rows, cols, entries)
 
-    def entry_map(self) -> dict[tuple[int, int], Fraction]:
+    def entry_map(self) -> dict[tuple[int, int], Rational]:
         return dict(self.entries)
 
-    def to_dense(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+    def to_dense(self) -> list[list[Rational]]:
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), val in self.entries:
             out[r][c] = val
         return out
@@ -224,18 +234,18 @@ class SparseMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        by_row: dict[int, list[tuple[int, Rational]]] = {}
         for (r, c), val in self.entries:
             by_row.setdefault(r, []).append((c, val))
-        other_rows: dict[int, dict[int, Fraction]] = {}
+        other_rows: dict[int, dict[int, Rational]] = {}
         for (r, c), val in other.entries:
             other_rows.setdefault(r, {})[c] = val
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], Rational] = {}
         for r, row in by_row.items():
-            buf: dict[int, Fraction] = {}
+            buf: dict[int, Rational] = {}
             for k, val in row:
                 for c, w in other_rows.get(k, {}).items():
-                    buf[c] = buf.get(c, Fraction(0)) + val * w
+                    buf[c] = buf.get(c, 0) + val * w
             for c, val in buf.items():
                 if val:
                     acc[(r, c)] = val
@@ -245,40 +255,65 @@ class SparseMatrix:
         return not self.entries
 
 
-def rank(m: SparseMatrix) -> int:
-    """Exact rank over the rationals by sparse fraction-exact elimination.
+def _integral_row(row: dict[int, Rational]) -> dict[int, int]:
+    """The row times the lcm of its entries' denominators: same support, ints."""
+    den = math.lcm(*(val.denominator for val in row.values()))
+    return {c: int(val * den) for c, val in row.items()}
 
-    Deterministic pivot choice: among remaining rows pick the sparsest (ties
-    by original index), pivot on its smallest column.  Never floating point.
+
+def rank(m: SparseMatrix) -> int:
+    """Exact rank over the rationals by sparse fraction-free elimination.
+
+    Each row is first scaled to integers by the lcm of its denominators.
+    Eliminating with pivot row p (pivot value pv) replaces a row r holding
+    the pivot column with value f by (pv/g)·r - (f/g)·p, g = gcd(f, pv),
+    divided by its content (Bareiss, Math. Comp. 1968, without the
+    determinant bookkeeping).  Every integer row is a nonzero multiple of
+    the row that Fraction elimination would hold, so supports, pivots and
+    the rank agree with it while the arithmetic stays in small ints.
+
+    Deterministic pivot choice, the structured-elimination order (LaMacchia
+    & Odlyzko 1990): among remaining rows pick the sparsest (ties by
+    original index), pivot on its smallest column.  A heap keyed by
+    (length, original index) finds that row; entries left stale by an
+    update are skipped when popped.  Never floating point.
     """
-    rows: list[dict[int, Fraction]] = []
-    acc: dict[int, dict[int, Fraction]] = {}
+    acc: dict[int, dict[int, Rational]] = {}
     for (r, c), val in m.entries:
         acc.setdefault(r, {})[c] = val
-    rows = [acc[r] for r in sorted(acc)]
+    rows = {r: _integral_row(row) for r, row in acc.items()}
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapq.heapify(heap)
     rk = 0
-    while rows:
-        piv_idx = min(range(len(rows)), key=lambda i: (len(rows[i]), i))
-        pivot = rows.pop(piv_idx)
+    while heap:
+        length, r = heapq.heappop(heap)
+        pivot = rows.get(r)
+        if pivot is None or len(pivot) != length:
+            continue
+        del rows[r]
         piv_col = min(pivot)
-        piv_val = pivot[piv_col]
+        pv = pivot[piv_col]
         rk += 1
-        reduced = []
-        for row in rows:
-            if piv_col in row:
-                factor = row[piv_col] / piv_val
-                new = dict(row)
-                for c, val in pivot.items():
-                    acc2 = new.get(c, Fraction(0)) - factor * val
-                    if acc2:
-                        new[c] = acc2
-                    else:
-                        new.pop(c, None)
-                if new:
-                    reduced.append(new)
-            else:
-                reduced.append(row)
-        rows = reduced
+        for r2 in [r2 for r2, row in rows.items() if piv_col in row]:
+            row = rows[r2]
+            f = row[piv_col]
+            g = math.gcd(f, pv)
+            a, b = pv // g, f // g
+            new = {c: a * val for c, val in row.items()} if a != 1 else dict(row)
+            for c, val in pivot.items():
+                acc2 = new.get(c, 0) - b * val
+                if acc2:
+                    new[c] = acc2
+                else:
+                    del new[c]
+            if not new:
+                del rows[r2]
+                continue
+            content = math.gcd(*new.values())
+            if content != 1:
+                new = {c: val // content for c, val in new.items()}
+            rows[r2] = new
+            heapq.heappush(heap, (len(new), r2))
     return rk
 
 
@@ -344,12 +379,12 @@ def homology_dims(c: ChainComplexSlice) -> dict[int, tuple[int, bool]]:
     return out
 
 
-def _subtract_multiple(a: dict[int, Fraction], b: dict[int, Fraction],
-                       s: Fraction) -> dict[int, Fraction]:
+def _subtract_multiple(a: dict[int, Rational], b: dict[int, Rational],
+                       s: Rational) -> dict[int, Rational]:
     """a - s*b on sparse vectors, zeros dropped."""
     out = dict(a)
     for key, val in b.items():
-        acc = out.get(key, Fraction(0)) - s * val
+        acc = out.get(key, 0) - s * val
         if acc:
             out[key] = acc
         else:
@@ -358,7 +393,7 @@ def _subtract_multiple(a: dict[int, Fraction], b: dict[int, Fraction],
 
 
 def _pivot_inverse(m: SparseMatrix, skip_rows: set[int]) -> tuple[
-        dict[tuple[int, int], Fraction], set[int]]:
+        dict[tuple[int, int], Rational], set[int]]:
     """Entries of an inverse g of m on its column space, and m's pivot columns.
 
     Eliminates the rows of m outside ``skip_rows`` with the pivot rule of
@@ -371,12 +406,12 @@ def _pivot_inverse(m: SparseMatrix, skip_rows: set[int]) -> tuple[
     full rank of m.  The loop is `rank`'s, kept apart from it so that
     `rank` carries no transform; the number of pivot columns is rank m.
     """
-    acc: dict[int, dict[int, Fraction]] = {}
+    acc: dict[int, dict[int, Rational]] = {}
     for (r, c), val in m.entries:
         if r not in skip_rows:
             acc.setdefault(r, {})[c] = val
-    rows = [(acc[r], {r: Fraction(1)}) for r in sorted(acc)]
-    pivots: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
+    rows = [(acc[r], {r: 1}) for r in sorted(acc)]
+    pivots: list[tuple[int, dict[int, Rational], dict[int, Rational]]] = []
     while rows:
         piv_idx = min(range(len(rows)), key=lambda i: (len(rows[i][0]), i))
         pivot, transform = rows.pop(piv_idx)
@@ -386,7 +421,7 @@ def _pivot_inverse(m: SparseMatrix, skip_rows: set[int]) -> tuple[
         reduced = []
         for row, row_transform in rows:
             if piv_col in row:
-                factor = row[piv_col] / piv_val
+                factor = Fraction(row[piv_col], piv_val)
                 row = _subtract_multiple(row, pivot, factor)
                 if row:
                     reduced.append((row, _subtract_multiple(
@@ -397,8 +432,8 @@ def _pivot_inverse(m: SparseMatrix, skip_rows: set[int]) -> tuple[
     # pivot row i is zero on the pivot columns chosen before it, so the
     # pivot block is triangular: solve from the last pivot back
     position = {col: i for i, (col, _, _) in enumerate(pivots)}
-    solved: list[dict[int, Fraction]] = [{}] * len(pivots)
-    entries: dict[tuple[int, int], Fraction] = {}
+    solved: list[dict[int, Rational]] = [{}] * len(pivots)
+    entries: dict[tuple[int, int], Rational] = {}
     for i in range(len(pivots) - 1, -1, -1):
         piv_col, pivot, transform = pivots[i]
         x = transform
@@ -406,7 +441,7 @@ def _pivot_inverse(m: SparseMatrix, skip_rows: set[int]) -> tuple[
             if c != piv_col and c in position:
                 x = _subtract_multiple(x, solved[position[c]], val)
         piv_val = pivot[piv_col]
-        solved[i] = {r: val / piv_val for r, val in x.items()}
+        solved[i] = {r: Fraction(val, piv_val) for r, val in x.items()}
         for r, val in solved[i].items():
             entries[(piv_col, r)] = val
     return entries, set(position)
@@ -442,8 +477,8 @@ class ChainContraction:
     def projection(self, k: int) -> SparseMatrix:
         """π_k = Id - d_{k+1} h_k - h_{k-1} d_k as a square matrix."""
         dim = self.chain.dim(k)
-        entries: dict[tuple[int, int], Fraction] = {
-            (i, i): Fraction(1) for i in range(dim)}
+        entries: dict[tuple[int, int], Rational] = {
+            (i, i): 1 for i in range(dim)}
         terms = []
         if k in self.h and (k + 1) in self.chain.d:
             terms.append(self.chain.d[k + 1].compose(self.h[k]))
@@ -451,7 +486,7 @@ class ChainContraction:
             terms.append(self.h[k - 1].compose(self.chain.d[k]))
         for term in terms:
             for key, val in term.entries:
-                entries[key] = entries.get(key, Fraction(0)) - val
+                entries[key] = entries.get(key, 0) - val
         return SparseMatrix.from_entries(dim, dim, entries)
 
 

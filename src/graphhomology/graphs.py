@@ -143,30 +143,35 @@ def canonicalize(o: OrientedEdgeList) -> LinComb:
     return LinComb.of(Graph(o.n, tuple(pairs)), sign)
 
 
-def _std(k: int, i: int, j: int) -> int:
-    """Relabelling after contracting {i, j}, i < j: j ↦ i, above j shift down."""
-    if k == j:
-        return i
-    if k > j:
-        return k - 1
-    return k
+def _contract(g: Graph, k: int) -> Graph | None:
+    """g with its k-th edge (i, j) contracted, or None when a loop would appear.
+
+    j merges into i and labels above j shift down by one; a loop appears
+    exactly when another copy of (i, j) remains.
+    """
+    i, j = g.edges[k]
+    new_edges = []
+    for a, b in g.edges[:k] + g.edges[k + 1:]:
+        if a >= j:
+            a = i if a == j else a - 1
+        if b >= j:
+            b = i if b == j else b - 1
+        if a == b:
+            return None
+        new_edges.append((a, b) if a < b else (b, a))
+    new_edges.sort()
+    return Graph(g.n - 1, tuple(new_edges))
 
 
 def contract(g: Graph, edge: tuple[int, int]) -> LinComb:
     """Contract one copy of an edge; unsigned; zero if a loop would appear."""
     i, j = min(edge), max(edge)
-    if (i, j) not in g.edges:
-        raise NoSuchEdgeError(f"{edge} not an edge of {g}")
-    remaining = list(g.edges)
-    remaining.remove((i, j))
-    new_edges = []
-    for a, b in remaining:
-        a2, b2 = _std(a, i, j), _std(b, i, j)
-        if a2 == b2:
-            return LinComb.zero()
-        new_edges.append((min(a2, b2), max(a2, b2)))
-    new_edges.sort()
-    return LinComb.of(Graph(g.n - 1, tuple(new_edges)))
+    try:
+        k = g.edges.index((i, j))
+    except ValueError:
+        raise NoSuchEdgeError(f"{edge} not an edge of {g}") from None
+    term = _contract(g, k)
+    return LinComb.zero() if term is None else LinComb.of(term)
 
 
 def _reorientation_sign(g: Graph, i: int, j: int) -> int:
@@ -182,13 +187,15 @@ def _reorientation_sign(g: Graph, i: int, j: int) -> int:
 def differential_graph(g: Graph) -> LinComb:
     """δ on one basis graph: signed sum of single-edge contractions."""
     out: dict[Graph, int] = {}
-    for i, j in g.edges:
-        for term, _ in contract(g, (i, j)).items():
-            acc = out.get(term, 0) + (-1) ** j * _reorientation_sign(g, i, j)
-            if acc:
-                out[term] = acc
-            else:
-                out.pop(term, None)
+    for k, (i, j) in enumerate(g.edges):
+        term = _contract(g, k)
+        if term is None:
+            continue
+        acc = out.get(term, 0) + (-1) ** j * _reorientation_sign(g, i, j)
+        if acc:
+            out[term] = acc
+        else:
+            del out[term]
     return LinComb(out)
 
 
@@ -243,6 +250,8 @@ def connected_components(g: Graph) -> list[Graph]:
     groups: dict[int, list[int]] = {}
     for v in range(1, g.n + 1):
         groups.setdefault(find(v), []).append(v)
+    if len(groups) == 1:
+        return [g]
     comps = []
     for root in sorted(groups):
         verts = sorted(groups[root])
@@ -418,16 +427,28 @@ def valences(g: Graph) -> list[int]:
 
 def enumerate_graphs(n: int, max_edges: int, min_valence: int = 0,
                      connected_only: bool = False) -> list[Graph]:
-    """All canonical graphs on exactly n vertices meeting the constraints, sorted."""
+    """All canonical graphs on exactly n vertices meeting the constraints, sorted.
+
+    Edge counts too small for the constraints are skipped: n vertices of
+    valence min_valence need ceil(n * min_valence / 2) edges, a connected
+    graph n - 1.  Valences are checked on the raw pair combination, before
+    a Graph is built.
+    """
     if n == 0:
         return [UNIT] if not connected_only else []
     pair_types = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    least = max(0, -(-n * min_valence // 2), n - 1 if connected_only else 0)
     out = []
-    for count in range(0, max_edges + 1):
+    for count in range(least, max_edges + 1):
         for combo in itertools.combinations_with_replacement(pair_types, count):
+            if min_valence > 0:
+                val = [0] * (n + 1)
+                for i, j in combo:
+                    val[i] += 1
+                    val[j] += 1
+                if min(val[1:]) < min_valence:
+                    continue
             g = Graph(n, combo)
-            if min_valence > 0 and min(valences(g)) < min_valence:
-                continue
             if connected_only and len(connected_components(g)) != 1:
                 continue
             out.append(g)

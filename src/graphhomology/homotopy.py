@@ -211,7 +211,7 @@ def slice_from_bases(bases: dict[int, list[Graph]], diff=differential_graph,
     index = {k: {g: i for i, g in enumerate(bs)} for k, bs in bases.items()}
     d: dict[int, SparseMatrix] = {}
     for k in range(degrees[0] + 1, degrees[1] + 1):
-        entries: dict[tuple[int, int], Fraction] = {}
+        entries: dict[tuple[int, int], int | Fraction] = {}
         target = index[k - 1]
         for col, g in enumerate(bases[k]):
             for term, coeff in diff(g).items():

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from graphhomology import bialgebra, symplectic
 from graphhomology.cli import main
 
 G_REC = {"n": 3, "edges": [[1, 2], [1, 2], [1, 3], [2, 3]]}
@@ -162,6 +164,28 @@ def test_verify_interchange_passes(capsys):
     rc, out = run_cli(["verify", "--suite", "interchange"], capsys)
     assert rc == 0
     assert out.strip().endswith("items pass")
+
+
+def test_verify_interchange_fail_lines_give_defect_size(capsys, monkeypatch):
+    # the unsigned law fails on some splits; each FAIL line gives the size
+    # of its defect and the smallest term
+    monkeypatch.setattr(bialgebra, "check_interchange_signed",
+                        bialgebra.check_interchange)
+    rc, out = run_cli(["verify", "--suite", "interchange"], capsys)
+    rng = random.Random(0)
+    expected = []
+    for case in range(20):
+        w = symplectic.random_split_word(rng)
+        for p in range(len(w.factors)):
+            q = len(w.factors) - 1 - p
+            ok, defect = bialgebra.check_interchange(w, p, q)
+            if not ok:
+                key, coeff = min(defect.items(), key=lambda kv: kv[0])
+                expected.append(f"FAIL word {case} split ({p},{q}) defect "
+                                f"terms={len(defect)} smallest={coeff}*{key!r}")
+    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert rc == 1 and expected
+    assert fails == sorted(expected)
 
 
 def test_verify_commute_passes(capsys):

@@ -17,6 +17,7 @@ from graphhomology.exactlinalg import (
     rational,
     rational_str,
 )
+from graphhomology.homotopy import mixed_stripe
 
 
 def dense_rank_oracle(dense):
@@ -40,6 +41,53 @@ def dense_rank_oracle(dense):
         if rk == len(rows):
             break
     return rk
+
+
+def _fraction_rank(m):
+    """Sparse Fraction elimination with rank's pivot rule: the reference oracle.
+
+    Among remaining rows pick the sparsest (ties by original index), pivot on
+    its smallest column, clear that column from every other row.
+    """
+    acc = {}
+    for (r, c), val in m.entries:
+        acc.setdefault(r, {})[c] = Fraction(val)
+    rows = [acc[r] for r in sorted(acc)]
+    rk = 0
+    while rows:
+        piv_idx = min(range(len(rows)), key=lambda i: (len(rows[i]), i))
+        pivot = rows.pop(piv_idx)
+        piv_col = min(pivot)
+        piv_val = pivot[piv_col]
+        rk += 1
+        reduced = []
+        for row in rows:
+            if piv_col in row:
+                factor = row[piv_col] / piv_val
+                new = dict(row)
+                for c, val in pivot.items():
+                    acc2 = new.get(c, Fraction(0)) - factor * val
+                    if acc2:
+                        new[c] = acc2
+                    else:
+                        new.pop(c, None)
+                if new:
+                    reduced.append(new)
+            else:
+                reduced.append(row)
+        rows = reduced
+    return rk
+
+
+def _random_sparse(rng, rows, cols, density, entry):
+    """A rows x cols matrix whose last rows repeat combinations of earlier ones."""
+    dense = [[entry() if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)]
+    for r in range(rows // 2, rows if rows >= 4 else 0):
+        a, b = rng.sample(range(rows // 2), 2)
+        s, t = entry(), entry()
+        dense[r] = [s * x + t * y for x, y in zip(dense[a], dense[b])]
+    return SparseMatrix.from_dense(dense)
 
 
 def test_rational_round_trip():
@@ -88,6 +136,34 @@ def test_rank_against_dense_oracle_random():
                 min_size=1, max_size=6))
 def test_rank_against_dense_oracle_hypothesis(dense):
     assert rank(SparseMatrix.from_dense(dense)) == dense_rank_oracle(dense)
+
+
+def test_rank_matches_fraction_rank_on_integer_matrices():
+    # entries up to 5 in size make pivots other than ±1, so the gcd scaling
+    # and the content division both act
+    rng = random.Random(5)
+    entry = lambda: rng.choice([v for v in range(-5, 6) if v])
+    for case in range(60):
+        rows, cols = rng.randint(1, 14), rng.randint(1, 14)
+        m = _random_sparse(rng, rows, cols, rng.choice((0.2, 0.4, 0.7)), entry)
+        assert rank(m) == _fraction_rank(m) == dense_rank_oracle(m.to_dense()), case
+
+
+def test_rank_matches_fraction_rank_on_fraction_matrices():
+    rng = random.Random(6)
+    entry = lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3, 5)),
+                             rng.randint(2, 6))
+    for case in range(60):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        m = _random_sparse(rng, rows, cols, rng.choice((0.3, 0.6)), entry)
+        assert rank(m) == _fraction_rank(m) == dense_rank_oracle(m.to_dense()), case
+
+
+def test_rank_of_mixed_stripe_differentials():
+    cx = mixed_stripe(2, 5)
+    assert all(type(val) is int for mat in cx.d.values() for _, val in mat.entries)
+    assert [rank(cx.d[k]) for k in (4, 5)] == [9, 133]
+    assert [_fraction_rank(cx.d[k]) for k in (4, 5)] == [9, 133]
 
 
 def _two_term_acyclic():
@@ -223,3 +299,26 @@ def test_chain_contraction_of_acyclic_two_term():
     con = chain_contraction(_two_term_acyclic())
     assert con.h[0].to_dense() == [[Fraction(1)]]
     assert con.projection(0).is_zero() and con.projection(1).is_zero()
+
+
+def _exact_entries(mat):
+    return all(type(val) in (int, Fraction) for _, val in mat.entries)
+
+
+def test_chain_contraction_of_integer_complexes_stays_exact():
+    # integer differentials: every division must give a Fraction, not a float
+    for cx in (_two_term_acyclic(), mixed_stripe(2, 5)):
+        con = chain_contraction(cx)
+        lo, hi = cx.degrees
+        for k in range(lo, hi + 1):
+            pi = con.projection(k)
+            assert _exact_entries(pi), k
+            assert pi.compose(pi) == pi, k
+            if k > lo:
+                assert cx.d[k].compose(pi).is_zero(), k
+            if k < hi:
+                assert _exact_entries(con.h[k]), k
+                assert pi.compose(cx.d[k + 1]).is_zero(), k
+            assert rank(pi) == con.homology_dim(k), k
+    # the e = n + 2 stripe is acyclic in degrees 2..4
+    assert [con.homology_dim(k) for k in range(2, 5)] == [0, 0, 0]

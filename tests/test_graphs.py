@@ -50,6 +50,37 @@ def brute_force_graphs(n, max_edges):
     return sorted(set(out))
 
 
+def _connected(g):
+    seen, stack = {1}, [1]
+    while stack:
+        v = stack.pop()
+        for i, j in g.edges:
+            for a, b in ((i, j), (j, i)):
+                if a == v and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+    return len(seen) == g.n
+
+
+def test_enumerate_graphs_matches_filtered_reference():
+    # the reference builds every graph with up to 6 edges and filters it
+    for n in range(0, 6):
+        everything = [UNIT] if n == 0 else [
+            Graph(n, combo) for count in range(7) for combo in
+            itertools.combinations_with_replacement(
+                list(itertools.combinations(range(1, n + 1), 2)), count)]
+        for min_valence in (0, 2, 3):
+            for connected_only in (False, True):
+                kept = sorted(
+                    g for g in everything
+                    if all(v >= min_valence for v in valences(g))
+                    and (not connected_only or (g.n > 0 and _connected(g))))
+                for max_e in range(7):
+                    expected = [g for g in kept if len(g.edges) <= max_e]
+                    assert enumerate_graphs(n, max_e, min_valence, connected_only) \
+                        == expected, (n, max_e, min_valence, connected_only)
+
+
 def test_canonicalize_single_flip():
     assert canonicalize(OrientedEdgeList(2, ((2, 1),))) == \
         LinComb.of(graph(2, [(1, 2)]), -1)
