@@ -31,6 +31,7 @@ class RunConfig:
     connected: bool = False
     lie: bool = False
     polygons: bool = False
+    loop: int | None = None
     suite: str | None = None
     seed: int = 0
     input: str | None = None
@@ -178,7 +179,11 @@ def _cmd_convert(config: RunConfig):
 
 def _cmd_homology(config: RunConfig):
     if config.polygons:
+        if config.loop is not None:
+            raise SystemExit2("--loop builds the core stripe; drop --polygons")
         cx = homotopy.polygon_complex(config.max_n)
+    elif config.loop is not None:
+        cx = homotopy.stripe("core", config.loop, config.max_n)
     else:
         cx = homotopy.reduced_core_complex(config.max_n, config.edges)
     dims = homology_dims(cx)
@@ -322,6 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--connected", action="store_true")
         p.add_argument("--lie", action="store_true")
         p.add_argument("--polygons", action="store_true")
+        p.add_argument("--loop", type=int)
         p.add_argument("--suite", choices=SUITES)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--input")

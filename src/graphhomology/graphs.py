@@ -23,11 +23,18 @@ and every partial labelling that ties with the best is kept.  Twin vertices
 (equal multiplicities to all others) give transpositions that either
 annihilate the class at once or may be skipped in the search.  The n!
 enumeration it replaces is the test oracle `_lie_orbit_min`.
+
+Bases come from one depth-first walk over nondecreasing sequences of
+vertex pairs (enumerate_graphs), which emits graphs in Graph order, each
+before its extensions.  It prunes a branch once a vertex short of the
+minimum valence can no longer be reached, or once the valence deficit
+exceeds what the remaining edges can fill.  The build-then-filter loop over
+every pair combination that it replaces is the test oracle
+`_enumerate_oracle`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .exactlinalg import LinComb
@@ -429,31 +436,86 @@ def enumerate_graphs(n: int, max_edges: int, min_valence: int = 0,
                      connected_only: bool = False) -> list[Graph]:
     """All canonical graphs on exactly n vertices meeting the constraints, sorted.
 
-    Edge counts too small for the constraints are skipped: n vertices of
-    valence min_valence need ceil(n * min_valence / 2) edges, a connected
-    graph n - 1.  Valences are checked on the raw pair combination, before
-    a Graph is built.
+    The graphs come from one depth-first walk over nondecreasing sequences
+    of vertex pairs (see _walk_graphs), which emits them in Graph order.
+    Edge counts too small for the constraints are never emitted: n vertices
+    of valence min_valence need ceil(n * min_valence / 2) edges, a connected
+    graph n - 1.  A negative n raises ValueError.
     """
+    if n < 0:
+        raise ValueError(f"a graph needs n >= 0 vertices, not {n}")
     if n == 0:
         return [UNIT] if not connected_only else []
-    pair_types = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     least = max(0, -(-n * min_valence // 2), n - 1 if connected_only else 0)
-    out = []
-    for count in range(least, max_edges + 1):
-        for combo in itertools.combinations_with_replacement(pair_types, count):
-            if min_valence > 0:
-                val = [0] * (n + 1)
-                for i, j in combo:
-                    val[i] += 1
-                    val[j] += 1
-                if min(val[1:]) < min_valence:
-                    continue
-            g = Graph(n, combo)
-            if connected_only and len(connected_components(g)) != 1:
+    return _walk_graphs(n, least, max_edges, min_valence, connected_only)
+
+
+def _walk_graphs(n: int, min_edges: int, max_edges: int, min_valence: int,
+                 connected_only: bool) -> list[Graph]:
+    """Graphs on n >= 1 vertices with min_edges..max_edges edges, in Graph order.
+
+    The walk extends a nondecreasing sequence of pairs (i, j), i < j, one
+    pair at a time in increasing order and emits each valid sequence before
+    its extensions, so the output is sorted with prefixes first.  Two prunes
+    stop a branch early:
+    - once the next pair would start past a vertex whose valence is still
+      below min_valence, since every later pair misses that vertex;
+    - once the total valence deficit exceeds twice the edges still allowed,
+      since one edge raises two valences.
+    Edge tuples hold the pair objects of one shared pair list.
+    """
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    # past[v]: index of the first pair starting after vertex v
+    past = [sum(n - i for i in range(1, v + 1)) for v in range(n + 1)]
+    floor = max(min_valence, 0)
+    val = [0] * (n + 1)
+    chosen: list[tuple[int, int]] = []
+    # the edgeless graph, the root of the walk, is connected only for n = 1
+    out = [Graph(n, ())] if (floor == 0 and min_edges <= 0 <= max_edges
+                             and (n == 1 or not connected_only)) else []
+
+    def extend(start: int, count: int, low: int, deficit: int) -> None:
+        # chosen holds count pairs; pairs[start] is the least next pair;
+        # low is no later than the least vertex still short of floor, or n
+        while low < n and val[low] >= floor:
+            low += 1
+        size = count + 1
+        for k in range(start, past[low]):
+            pair = pairs[k]
+            i, j = pair
+            left = deficit - (val[i] < floor) - (val[j] < floor)
+            if left > 2 * (max_edges - size):
                 continue
-            out.append(g)
-    out.sort()
+            val[i] += 1
+            val[j] += 1
+            chosen.append(pair)
+            if left == 0 and size >= min_edges and (
+                    not connected_only or _is_connected(n, chosen)):
+                out.append(Graph(n, tuple(chosen)))
+            if size < max_edges:
+                extend(k, size, low, left)
+            chosen.pop()
+            val[i] -= 1
+            val[j] -= 1
+
+    if max_edges > 0:
+        extend(0, 0, 1, n * floor)
     return out
+
+
+def _is_connected(n: int, edges) -> bool:
+    """Whether the edges join vertices 1..n into one component (never for n = 0)."""
+    parent = list(range(n + 1))
+    joins = 0
+    for i, j in edges:
+        while parent[i] != i:
+            i = parent[i]
+        while parent[j] != j:
+            j = parent[j]
+        if i != j:
+            parent[max(i, j)] = min(i, j)
+            joins += 1
+    return joins == n - 1
 
 
 def graph_to_record(g: Graph) -> dict:

@@ -13,8 +13,8 @@ failure.  No map that keeps the ladder count, as `h` does, can do better:
 contraction never raises the ladder count, so the single-ladder graphs form
 a subcomplex, and it has homology.
 
-Contraction keeps e - n, so the mixed quotient splits into stripes of fixed
-loop order e - n (`mixed_stripe`), each finite in every degree.  The stripe
+Contraction keeps e - n, so the complexes split into stripes of fixed loop
+order e - n (`stripe`), each finite in every degree.  The stripe
 e = n + 2 is not acyclic: through n = 6 its exact H_5 is 4, the other
 degrees of n <= 5 and e <= 7 are acyclic.  The four classes map injectively
 to H_4 of the core subcomplex: at e = n + 2 the core graphs have H_4 = 5,
@@ -34,8 +34,8 @@ from fractions import Fraction
 from .exactlinalg import ChainComplexSlice, LinComb, SparseMatrix
 from .graphs import (
     Graph,
-    UNIT,
-    connected_components,
+    _is_connected,
+    _walk_graphs,
     differential,
     differential_graph,
     enumerate_graphs,
@@ -56,7 +56,7 @@ __all__ = [
     "polygon_complex",
     "reduced_core_complex",
     "mixed_quotient_complex",
-    "mixed_stripe",
+    "stripe",
     "slice_from_bases",
     "NotMixedError",
 ]
@@ -76,7 +76,7 @@ class Classification(enum.Enum):
 def classify(g: Graph) -> Classification:
     """Polygon: connected, all bivalent.  Core: connected, min valence >= 3.
     Mixed: any other connected graph.  The unit counts as disconnected."""
-    if g == UNIT or len(connected_components(g)) != 1:
+    if not _is_connected(g.n, g.edges):
         return Classification.DISCONNECTED
     vals = valences(g)
     if all(v == 2 for v in vals):
@@ -253,10 +253,7 @@ def polygon_complex(max_n: int) -> ChainComplexSlice:
     """
     if max_n < 3:
         raise ValueError("need max_n >= 3")
-    bases: dict[int, list[Graph]] = {1: []}
-    for n in range(2, max_n + 1):
-        bases[n] = labelled_polygons(n)
-    return slice_from_bases(bases)
+    return stripe("polygon", 0, max_n)
 
 
 def _edge_bounded(bases: dict[int, list[Graph]]) -> dict[int, bool]:
@@ -273,7 +270,7 @@ def reduced_core_complex(max_n: int, max_e: int) -> ChainComplexSlice:
     every degree n >= 2 short: graphs with more than max_e edges contract
     onto the kept ones, so no degree is marked complete and no homology
     dimension is reliable.  Contraction keeps e - n; complete degrees come
-    from a fixed loop order, as in `mixed_stripe`.
+    from a fixed loop order, as in `stripe`.
     """
     bases: dict[int, list[Graph]] = {}
     for n in range(1, max_n + 1):
@@ -285,7 +282,7 @@ def mixed_quotient_complex(max_n: int, max_e: int) -> ChainComplexSlice:
     """Mixed connected graphs (min valence 2) with the projected differential.
 
     As in `reduced_core_complex`, the edge bound leaves every degree n >= 2
-    incomplete, so no homology dimension is reliable; `mixed_stripe` builds
+    incomplete, so no homology dimension is reliable; `stripe` builds
     complete degrees at a fixed loop order.
     """
     bases: dict[int, list[Graph]] = {}
@@ -295,15 +292,34 @@ def mixed_quotient_complex(max_n: int, max_e: int) -> ChainComplexSlice:
     return slice_from_bases(bases, project=True, complete=_edge_bounded(bases))
 
 
-def mixed_stripe(loop: int, max_n: int) -> ChainComplexSlice:
-    """The mixed quotient at loop order e - n = ``loop``, degrees 1..max_n.
+_STRIPE_KINDS = {"polygon": Classification.POLYGON, "core": Classification.CORE,
+                 "mixed": Classification.MIXED, "all": None}
 
-    Contraction keeps e - n, so each degree holds every mixed graph of its
-    size and is complete; only max_n itself lacks the degree above it.
+
+def stripe(kind: str, loop: int, max_n: int) -> ChainComplexSlice:
+    """The stripe of loop order e - n = ``loop`` of one kind, degrees 1..max_n.
+
+    ``kind`` is polygon, core or mixed, as `classify` names connected graphs
+    of minimum valence two, or all of them.  Contraction keeps e - n, so
+    each degree n is generated directly at e = n + loop and holds every
+    graph of its kind: every degree is complete, and only the top one lacks
+    the degree above it.  Degree 1 is empty, since one vertex carries no
+    loopless edge.  Polygons, core graphs and all graphs are subcomplexes;
+    the mixed graphs are the quotient of all by the other two, so their
+    differential projects.  A core graph has 2e >= 3n, so n <= 2 * loop:
+    once max_n reaches 2 * loop the core stripe ends at the empty degree
+    2 * loop + 1, and its top degree 2 * loop is reliable too.
     """
+    if kind not in _STRIPE_KINDS:
+        raise ValueError(f"stripe kind {kind!r} is not one of {tuple(_STRIPE_KINDS)}")
+    if loop < 0 or max_n < 1:
+        raise ValueError(f"a stripe needs loop >= 0 and max_n >= 1, "
+                         f"not loop {loop}, max_n {max_n}")
+    wanted = _STRIPE_KINDS[kind]
+    min_valence = 3 if kind == "core" else 2
+    top = 2 * loop + 1 if kind == "core" and max_n >= 2 * loop else max_n
     bases: dict[int, list[Graph]] = {}
-    for n in range(1, max_n + 1):
-        bases[n] = [g for g in enumerate_graphs(n, n + loop, 2, connected_only=True)
-                    if len(g.edges) == n + loop
-                    and classify(g) == Classification.MIXED]
-    return slice_from_bases(bases, project=True)
+    for n in range(1, top + 1):
+        bases[n] = [g for g in _walk_graphs(n, n + loop, n + loop, min_valence, True)
+                    if wanted is None or classify(g) == wanted]
+    return slice_from_bases(bases, project=kind == "mixed")

@@ -238,7 +238,7 @@ def test_criterion_07_homotopy_identity():
     nonzero = {}
     for loop in range(1, 6):
         top = min(5, 7 - loop)
-        cx = homotopy.mixed_stripe(loop, top + 1)
+        cx = homotopy.stripe("mixed", loop, top + 1)
         contraction = chain_contraction(cx)
         # degree 1 is the bottom of the stripe and holds no mixed graph
         for k in range(2, top + 1):

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from graphhomology import bialgebra, symplectic
+from graphhomology import bialgebra, homotopy, symplectic
 from graphhomology.cli import main
+from graphhomology.exactlinalg import homology_dims
 
 G_REC = {"n": 3, "edges": [[1, 2], [1, 2], [1, 3], [2, 3]]}
 
@@ -119,6 +120,26 @@ def test_homology_edge_bound_not_reliable(capsys):
     assert rc == 0
     assert '"reliable": true' not in out
     assert json.loads(out)["3"]["dim"] == 9
+
+
+def test_homology_loop_prints_core_stripe(capsys):
+    for loop in (1, 2):
+        rc, out = run_cli(["homology", "--loop", str(loop)], capsys)
+        assert rc == 0
+        dims = homology_dims(homotopy.stripe("core", loop, 5))
+        assert json.loads(out) == {str(k): {"dim": dim, "reliable": reliable}
+                                   for k, (dim, reliable) in dims.items()}
+        assert dims[2 * loop][1]
+    assert main(["homology", "--loop", "1", "--polygons"]) == 2
+    assert main(["homology", "--loop", "-1"]) == 2
+
+
+def test_enumerate_refuses_negative_vertices(capsys):
+    rc = main(["enumerate", "--vertices", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
 
 
 def test_diff_lie_refuses_thirteen_vertices(tmp_path, capsys):

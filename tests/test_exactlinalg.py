@@ -17,7 +17,7 @@ from graphhomology.exactlinalg import (
     rational,
     rational_str,
 )
-from graphhomology.homotopy import mixed_stripe
+from graphhomology.homotopy import stripe
 
 
 def dense_rank_oracle(dense):
@@ -160,7 +160,7 @@ def test_rank_matches_fraction_rank_on_fraction_matrices():
 
 
 def test_rank_of_mixed_stripe_differentials():
-    cx = mixed_stripe(2, 5)
+    cx = stripe("mixed", 2, 5)
     assert all(type(val) is int for mat in cx.d.values() for _, val in mat.entries)
     assert [rank(cx.d[k]) for k in (4, 5)] == [9, 133]
     assert [_fraction_rank(cx.d[k]) for k in (4, 5)] == [9, 133]
@@ -307,7 +307,7 @@ def _exact_entries(mat):
 
 def test_chain_contraction_of_integer_complexes_stays_exact():
     # integer differentials: every division must give a Fraction, not a float
-    for cx in (_two_term_acyclic(), mixed_stripe(2, 5)):
+    for cx in (_two_term_acyclic(), stripe("mixed", 2, 5)):
         con = chain_contraction(cx)
         lo, hi = cx.degrees
         for k in range(lo, hi + 1):

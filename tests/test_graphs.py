@@ -62,6 +62,42 @@ def _connected(g):
     return len(seen) == g.n
 
 
+def _enumerate_oracle(n, max_edges, min_valence=0, connected_only=False):
+    """Build every pair combination with a feasible edge count, filter, sort."""
+    if n == 0:
+        return [UNIT] if not connected_only else []
+    pair_types = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    least = max(0, -(-n * min_valence // 2), n - 1 if connected_only else 0)
+    out = []
+    for count in range(least, max_edges + 1):
+        for combo in itertools.combinations_with_replacement(pair_types, count):
+            if min_valence > 0:
+                val = [0] * (n + 1)
+                for i, j in combo:
+                    val[i] += 1
+                    val[j] += 1
+                if min(val[1:]) < min_valence:
+                    continue
+            g = Graph(n, combo)
+            if connected_only and len(connected_components(g)) != 1:
+                continue
+            out.append(g)
+    out.sort()
+    return out
+
+
+@pytest.mark.parametrize("args", [(6, 8, 2, True), (6, 7, 0, False)])
+def test_enumerate_graphs_matches_oracle_at_stripe_size(args):
+    # the walk emits the oracle's list in the oracle's order
+    assert enumerate_graphs(*args) == _enumerate_oracle(*args)
+
+
+def test_enumerate_graphs_refuses_negative_vertices():
+    for min_valence in (0, 2):
+        with pytest.raises(ValueError, match="n >= 0"):
+            enumerate_graphs(-1, 3, min_valence)
+
+
 def test_enumerate_graphs_matches_filtered_reference():
     # the reference builds every graph with up to 6 edges and filters it
     for n in range(0, 6):

@@ -18,7 +18,7 @@ from graphhomology.homotopy import (
     ladders,
     mixed_projection,
     mixed_quotient_complex,
-    mixed_stripe,
+    stripe,
     polygon_complex,
     quotient_differential,
     reduced_core_complex,
@@ -138,7 +138,7 @@ def test_reduced_core_complex_values():
 
 def test_mixed_quotient_stripe_acyclic_at_one_loop():
     # fixed loop excess keeps each degree's basis complete
-    cx = mixed_stripe(1, 5)
+    cx = stripe("mixed", 1, 5)
     dims = homology_dims(cx)
     for k, (dim, reliable) in dims.items():
         if reliable:
@@ -157,3 +157,54 @@ def test_mixed_quotient_complex_builds():
     cx = mixed_quotient_complex(4, 5)
     assert all(classify(g) == Classification.MIXED
                for k in cx.basis for g in cx.basis[k])
+
+
+def _filtered_stripe_basis(kind, loop, n):
+    wanted = {"polygon": Classification.POLYGON, "core": Classification.CORE,
+              "mixed": Classification.MIXED}.get(kind)
+    return [g for g in enumerate_graphs(n, n + loop, 2, connected_only=True)
+            if len(g.edges) == n + loop and (wanted is None or classify(g) == wanted)]
+
+
+@pytest.mark.parametrize("kind", ["polygon", "core", "mixed", "all"])
+def test_stripe_bases_match_filtered_enumeration(kind):
+    for loop in range(0, 4):
+        cx = stripe(kind, loop, 5)
+        top = 2 * loop + 1 if kind == "core" and loop <= 2 else 5
+        assert cx.degrees == (1, top), (loop, cx.degrees)
+        for n in range(1, top + 1):
+            assert list(cx.basis[n]) == _filtered_stripe_basis(kind, loop, n), (loop, n)
+            assert cx.complete[n]
+
+
+@pytest.mark.parametrize("kind", ["polygon", "core", "mixed", "all"])
+def test_stripe_reliable_dims_stay_as_max_n_grows(kind):
+    for loop, sizes in ((0, range(3, 7)), (1, range(3, 7)), (2, range(3, 6))):
+        earlier = {}
+        for max_n in sizes:
+            dims = homology_dims(stripe(kind, loop, max_n))
+            for k, dim in earlier.items():
+                assert dims[k] == (dim, True), (loop, max_n, k)
+            earlier = {k: dim for k, (dim, reliable) in dims.items() if reliable}
+
+
+def test_core_stripe_top_degree_reliable():
+    # the theta graph at loop 1; at loop 2 the labelled core has H_4 = 5
+    for loop, top_dim in ((1, 1), (2, 5), (3, None)):
+        dims = homology_dims(stripe("core", loop, 2 * loop))
+        dim, reliable = dims[2 * loop]
+        assert reliable, loop
+        assert top_dim is None or dim == top_dim, (loop, dim)
+        assert dims == homology_dims(stripe("core", loop, 2 * loop + 3))
+
+
+def test_polygon_stripe_is_labelled_polygons():
+    cx = stripe("polygon", 0, 6)
+    assert all(cx.basis[n] == tuple(labelled_polygons(n)) for n in range(1, 7))
+    assert not any(stripe("polygon", 1, 5).basis.values())
+
+
+def test_stripe_rejects_bad_arguments():
+    for args in (("orbit", 1, 4), ("core", -1, 4), ("mixed", 1, 0)):
+        with pytest.raises(ValueError):
+            stripe(*args)
