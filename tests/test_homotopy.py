@@ -18,10 +18,10 @@ from graphhomology.homotopy import (
     ladders,
     mixed_projection,
     mixed_quotient_complex,
-    stripe,
     polygon_complex,
     quotient_differential,
     reduced_core_complex,
+    stripe,
 )
 
 G_EX = graph(3, [(1, 2), (1, 2), (1, 3), (2, 3)])
@@ -189,12 +189,11 @@ def test_stripe_reliable_dims_stay_as_max_n_grows(kind):
 
 
 def test_core_stripe_top_degree_reliable():
-    # the theta graph at loop 1; at loop 2 the labelled core has H_4 = 5
-    for loop, top_dim in ((1, 1), (2, 5), (3, None)):
+    # the theta graph at loop 1; the labelled core has H_4 = 5 at loop 2
+    # and H_6 = 384 at loop 3
+    for loop, top_dim in ((1, 1), (2, 5), (3, 384)):
         dims = homology_dims(stripe("core", loop, 2 * loop))
-        dim, reliable = dims[2 * loop]
-        assert reliable, loop
-        assert top_dim is None or dim == top_dim, (loop, dim)
+        assert dims[2 * loop] == (top_dim, True), loop
         assert dims == homology_dims(stripe("core", loop, 2 * loop + 3))
 
 
