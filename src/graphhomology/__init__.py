@@ -3,7 +3,8 @@
 Subpackages: exact linear algebra over the rationals, labelled multigraphs
 with a contraction differential, chord diagrams with package coinvariants,
 polynomial tensor words with the Poisson-bracket differential, the
-half-shuffle bialgebra layer, and the bivalent-chain reduction machinery.
+half-shuffle bialgebra layer, and the loop-order stripes of the graph
+complex.
 """
 
 from .exactlinalg import LinComb, Rational, SparseMatrix, homology_dims, rank

@@ -14,11 +14,11 @@ import sys
 from dataclasses import dataclass, field
 
 from . import bialgebra, diagrams, graphs, homotopy, symplectic
-from .exactlinalg import LinComb, homology_dims
+from .exactlinalg import LinComb, chain_contraction, homology_dims, rank
 
 __all__ = ["RunConfig", "run", "main"]
 
-SUITES = ("d2", "homotopy", "bialgebra", "series", "interchange", "commute",
+SUITES = ("d2", "contraction", "bialgebra", "series", "interchange", "commute",
           "lie-diagram")
 
 
@@ -185,7 +185,7 @@ def _cmd_homology(config: RunConfig):
     elif config.loop is not None:
         cx = homotopy.stripe("core", config.loop, config.max_n)
     else:
-        cx = homotopy.reduced_core_complex(config.max_n, config.edges)
+        raise SystemExit2("homology needs --loop L or --polygons")
     dims = homology_dims(cx)
     _emit(config, {str(k): {"dim": dim, "reliable": reliable}
                    for k, (dim, reliable) in sorted(dims.items())})
@@ -204,6 +204,11 @@ def _defect_item(label: str, defect: LinComb):
     return label, False, f" defect terms={len(defect)} smallest={coeff}*{key!r}"
 
 
+def _matrix_terms(name: str, m) -> LinComb:
+    """The entries of a matrix as terms keyed (name, row, column)."""
+    return LinComb({(name, r, c): val for (r, c), val in m.entries})
+
+
 def _suite_items(config: RunConfig):
     """Yield (label, ok, note) triples for the selected verification suite."""
     rng = random.Random(config.seed)
@@ -212,12 +217,21 @@ def _suite_items(config: RunConfig):
             for g in graphs.enumerate_graphs(n, config.edges):
                 val = graphs.differential(graphs.differential(LinComb.of(g)))
                 yield _defect_item(repr(g), val)
-    elif config.suite == "homotopy":
-        for n in range(1, config.vertices + 1):
-            for g in graphs.enumerate_graphs(n, config.edges, min_valence=2):
-                if homotopy.classify(g) != homotopy.Classification.MIXED:
-                    continue
-                yield _defect_item(repr(g), homotopy.homotopy_defect(g))
+    elif config.suite == "contraction":
+        # the mixed graphs with n <= vertices, e <= edges, by loop order; each
+        # stripe runs one degree past the checked ones, as in criterion 07
+        for loop in range(1, config.edges - 1):
+            top = min(config.vertices, config.edges - loop)
+            cx = homotopy.stripe("mixed", loop, top + 1)
+            con = chain_contraction(cx)
+            for k in range(2, top + 1):
+                pi, b = con.projection(k), con.homology_dim(k)
+                defect = (_matrix_terms("π²-π", pi.compose(pi))
+                          - _matrix_terms("π²-π", pi)
+                          + _matrix_terms("dπ", cx.d[k].compose(pi))
+                          + _matrix_terms("πd", pi.compose(cx.d[k + 1]))
+                          + LinComb.of(("rank π-b",), rank(pi) - b))
+                yield _defect_item(f"loop {loop} degree {k} b={b}", defect)
     elif config.suite == "bialgebra":
         pool = _component_pool(3)
         for g in graphs.products_of(pool, max_components=3):

@@ -23,7 +23,6 @@ __all__ = [
     "rational",
     "rational_str",
     "LinComb",
-    "lincomb_combine",
     "SparseMatrix",
     "rank",
     "ChainComplexSlice",
@@ -165,11 +164,6 @@ class LinComb:
         bits = [f"{rational_str(v)}*{k!r}" for k, v in sorted(
             self._terms.items(), key=lambda kv: repr(kv[0]))]
         return "LinComb(" + " + ".join(bits) + ")"
-
-
-def lincomb_combine(a: LinComb, b: LinComb, s) -> LinComb:
-    """a + s*b, canonical (zero coefficients dropped)."""
-    return a + b.scale(s)
 
 
 class NotAComplexError(ValueError):

@@ -36,6 +36,7 @@ every pair combination that it replaces is the test oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .exactlinalg import LinComb
 
@@ -447,12 +448,13 @@ def enumerate_graphs(n: int, max_edges: int, min_valence: int = 0,
     if n == 0:
         return [UNIT] if not connected_only else []
     least = max(0, -(-n * min_valence // 2), n - 1 if connected_only else 0)
-    return _walk_graphs(n, least, max_edges, min_valence, connected_only)
+    return list(_walk_graphs(n, least, max_edges, min_valence, connected_only))
 
 
 def _walk_graphs(n: int, min_edges: int, max_edges: int, min_valence: int,
-                 connected_only: bool) -> list[Graph]:
-    """Graphs on n >= 1 vertices with min_edges..max_edges edges, in Graph order.
+                 connected_only: bool) -> Iterator[Graph]:
+    """Yield the graphs on n >= 1 vertices with min_edges..max_edges edges,
+    in Graph order.
 
     The walk extends a nondecreasing sequence of pairs (i, j), i < j, one
     pair at a time in increasing order and emits each valid sequence before
@@ -471,10 +473,10 @@ def _walk_graphs(n: int, min_edges: int, max_edges: int, min_valence: int,
     val = [0] * (n + 1)
     chosen: list[tuple[int, int]] = []
     # the edgeless graph, the root of the walk, is connected only for n = 1
-    out = [Graph(n, ())] if (floor == 0 and min_edges <= 0 <= max_edges
-                             and (n == 1 or not connected_only)) else []
+    if floor == 0 and min_edges <= 0 <= max_edges and (n == 1 or not connected_only):
+        yield Graph(n, ())
 
-    def extend(start: int, count: int, low: int, deficit: int) -> None:
+    def extend(start: int, count: int, low: int, deficit: int) -> Iterator[Graph]:
         # chosen holds count pairs; pairs[start] is the least next pair;
         # low is no later than the least vertex still short of floor, or n
         while low < n and val[low] >= floor:
@@ -491,16 +493,15 @@ def _walk_graphs(n: int, min_edges: int, max_edges: int, min_valence: int,
             chosen.append(pair)
             if left == 0 and size >= min_edges and (
                     not connected_only or _is_connected(n, chosen)):
-                out.append(Graph(n, tuple(chosen)))
+                yield Graph(n, tuple(chosen))
             if size < max_edges:
-                extend(k, size, low, left)
+                yield from extend(k, size, low, left)
             chosen.pop()
             val[i] -= 1
             val[j] -= 1
 
     if max_edges > 0:
-        extend(0, 0, 1, n * floor)
-    return out
+        yield from extend(0, 0, 1, n * floor)
 
 
 def _is_connected(n: int, edges) -> bool:

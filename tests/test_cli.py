@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from graphhomology import bialgebra, homotopy, symplectic
-from graphhomology.cli import main
-from graphhomology.exactlinalg import homology_dims
+from graphhomology import bialgebra, cli, homotopy, symplectic
+from graphhomology.cli import SUITES, main
+from graphhomology.exactlinalg import ChainContraction, homology_dims
 
 G_REC = {"n": 3, "edges": [[1, 2], [1, 2], [1, 3], [2, 3]]}
 
@@ -114,12 +114,12 @@ def test_homology_polygons(capsys):
             assert entry["dim"] == 0
 
 
-def test_homology_edge_bound_not_reliable(capsys):
-    # an edge bound cuts every degree short, so nothing it gives is reliable
-    rc, out = run_cli(["homology", "--max-n", "4", "--edges", "6"], capsys)
-    assert rc == 0
-    assert '"reliable": true' not in out
-    assert json.loads(out)["3"]["dim"] == 9
+def test_homology_needs_loop_or_polygons(capsys):
+    rc = main(["homology", "--max-n", "4", "--edges", "6"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "usage error: homology needs --loop L or --polygons\n"
 
 
 def test_homology_loop_prints_core_stripe(capsys):
@@ -132,6 +132,20 @@ def test_homology_loop_prints_core_stripe(capsys):
         assert dims[2 * loop][1]
     assert main(["homology", "--loop", "1", "--polygons"]) == 2
     assert main(["homology", "--loop", "-1"]) == 2
+
+
+def test_homology_refuses_an_oversized_stripe(capsys, monkeypatch):
+    # the core stripe at loop 4 has 168,840 graphs at n = 8
+    def assemble(*args, **kwargs):
+        raise AssertionError("a differential was assembled")
+
+    monkeypatch.setattr(homotopy, "slice_from_bases", assemble)
+    rc = main(["homology", "--loop", "4", "--max-n", "8"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("usage error: the core stripe at loop 4 has more than "
+                            "150000 graphs in degree 8\n")
 
 
 def test_enumerate_refuses_negative_vertices(capsys):
@@ -158,26 +172,53 @@ def test_verify_d2_passes(capsys):
     assert out.strip().endswith("items pass")
 
 
-def test_verify_homotopy_reports_failures(capsys):
-    rc, out = run_cli(["verify", "--suite", "homotopy", "--vertices", "4",
-                       "--edges", "5"], capsys)
-    assert rc == 1
-    assert "FAIL" in out
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_suite_passes_at_its_defaults(suite, capsys):
+    rc, out = run_cli(["verify", "--suite", suite], capsys)
+    assert rc == 0, out
+    assert out.strip().endswith("items pass")
 
 
-def test_verify_fail_lines_give_defect_size(capsys):
-    rc, out = run_cli(["verify", "--suite", "homotopy", "--vertices", "4",
-                       "--edges", "5"], capsys)
+def test_verify_contraction_passes(capsys):
+    # one item per (loop, degree) of the mixed graphs with n <= 4, e <= 6
+    rc, out = run_cli(["verify", "--suite", "contraction"], capsys)
     lines = out.splitlines()
-    assert rc == 1
-    assert lines[-1] == "50 of 57 items fail"
+    assert rc == 0
+    assert lines[0] == "suite=contraction seed=0 vertices<=4 edges<=6"
+    assert lines[1:-1] == [f"OK   loop {loop} degree {k} b=0"
+                           for loop, top in ((1, 4), (2, 4), (3, 3), (4, 2))
+                           for k in range(2, top + 1)]
+    assert lines[-1] == "all 9 items pass"
+
+
+def test_verify_fail_lines_give_defect_size(capsys, monkeypatch):
+    # with h = 0, π = Id: π² = π and rank π = b still hold, but dπ = d and
+    # πd = d, so an item fails exactly where a differential at it is nonzero
+    monkeypatch.setattr(cli, "chain_contraction",
+                        lambda cx: ChainContraction(cx, {}, {}))
+    rc, out = run_cli(["verify", "--suite", "contraction", "--vertices", "4",
+                       "--edges", "5"], capsys)
+    expected = []
+    for loop in range(1, 4):
+        top = min(4, 5 - loop)
+        cx = homotopy.stripe("mixed", loop, top + 1)
+        for k in range(2, top + 1):
+            terms = [(("dπ", r, c), v) for (r, c), v in cx.d[k].entries]
+            terms += [(("πd", r, c), v) for (r, c), v in cx.d[k + 1].entries]
+            if terms:
+                key, coeff = min(terms)
+                expected.append(f"FAIL loop {loop} degree {k} b={cx.dim(k)} defect "
+                                f"terms={len(terms)} smallest={coeff}*{key!r}")
+    lines = out.splitlines()
     fails = [ln for ln in lines if ln.startswith("FAIL")]
-    assert len(fails) == 50
-    assert all(" defect terms=" in ln and " smallest=" in ln for ln in fails)
-    assert not any("defect" in ln for ln in lines if ln.startswith("OK"))
-    # the ladder map and the differential vanish on this graph: defect -g
-    g = "Graph(3, [[1, 2], [1, 2], [1, 3], [1, 3]])"
-    assert f"FAIL {g} defect terms=1 smallest=-1*{g}" in fails
+    assert rc == 1
+    assert fails == sorted(expected)
+    assert fails == [
+        "FAIL loop 1 degree 3 b=6 defect terms=52 smallest=-1*('πd', 0, 0)",
+        "FAIL loop 1 degree 4 b=42 defect terms=640 smallest=-1*('dπ', 0, 0)",
+        "FAIL loop 2 degree 3 b=9 defect terms=140 smallest=-1*('πd', 0, 0)",
+    ]
+    assert lines[-1] == "3 of 6 items fail"
 
 
 def test_verify_interchange_passes(capsys):

@@ -10,17 +10,9 @@ from graphhomology.graphs import (
 )
 from graphhomology.homotopy import (
     Classification,
-    NotMixedError,
     classify,
-    h,
-    homotopy_defect,
     labelled_polygons,
-    ladders,
-    mixed_projection,
-    mixed_quotient_complex,
     polygon_complex,
-    quotient_differential,
-    reduced_core_complex,
     stripe,
 )
 
@@ -42,63 +34,6 @@ def test_classify_partitions_connected_graphs():
         for g in enumerate_graphs(n, 6, min_valence=2, connected_only=True):
             assert classify(g) in (Classification.POLYGON, Classification.CORE,
                                    Classification.MIXED)
-
-
-def test_ladders_single_chain():
-    decomp = ladders(G_EX)
-    assert decomp.chains == ((1, 2, (3,)),)
-
-
-def test_ladders_two_chains():
-    # theta with two subdivided strands
-    g = graph(4, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
-    decomp = ladders(g)
-    assert len(decomp.chains) == 2
-    assert decomp.chains == ((1, 2, (3,)), (1, 2, (4,)))
-
-
-def test_ladders_anchored_at_one_vertex():
-    g = graph(3, [(1, 2), (1, 2), (1, 3), (1, 3)])
-    decomp = ladders(g)
-    assert decomp.chains == ((1, 1, (2,)), (1, 1, (3,)))
-
-
-def test_ladders_rejects_core():
-    with pytest.raises(NotMixedError):
-        ladders(THETA)
-
-
-def test_h_linearity_and_insertion():
-    single = h(LinComb.of(G_EX))
-    assert h(LinComb.of(G_EX, 2)) == single.scale(2)
-    # n = 3, one ladder: sign (-1)^3, insertion splits the edge into anchor 2
-    expected = graph(4, [(1, 2), (1, 2), (1, 3), (3, 4), (2, 4)])
-    assert single == LinComb.of(expected, -1)
-
-
-def test_homotopy_identity_on_single_chain_family():
-    # double edge plus one subdivided strand, chain lengths 1..3
-    family = [
-        G_EX,
-        graph(4, [(1, 2), (1, 2), (1, 3), (2, 4), (3, 4)]),
-        graph(5, [(1, 2), (1, 2), (1, 3), (2, 5), (3, 4), (4, 5)]),
-    ]
-    for g in family:
-        assert homotopy_defect(g).is_zero(), g
-
-
-def test_homotopy_identity_fails_on_two_anchored_loops():
-    # two single-vertex-anchored chains: the restoring terms cancel pairwise
-    g = graph(3, [(1, 2), (1, 2), (1, 3), (1, 3)])
-    defect = homotopy_defect(g)
-    assert not defect.is_zero()
-
-
-def test_quotient_differential_projects():
-    x = quotient_differential(LinComb.of(G_EX))
-    for term, _ in x.items():
-        assert classify(term) == Classification.MIXED
-    assert mixed_projection(differential(LinComb.of(G_EX))).is_zero()
 
 
 def test_labelled_polygons_counts_and_cross_check():
@@ -123,12 +58,11 @@ def test_polygon_acyclic_reliable_degrees():
             assert dim == 0, (k, dim)
 
 
-def test_reduced_core_complex_values():
-    cx = reduced_core_complex(4, 6)
-    assert THETA in cx.basis[2]
+def test_core_stripe_values():
+    assert THETA in stripe("core", 1, 2).basis[2]
     assert differential(LinComb.of(THETA)).is_zero()
     tet = graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
-    assert tet in cx.basis[4]
+    assert tet in stripe("core", 2, 4).basis[4]
     d_tet = differential(LinComb.of(tet))
     assert not d_tet.is_zero()
     for term, _ in d_tet.items():
@@ -144,19 +78,11 @@ def test_mixed_quotient_stripe_acyclic_at_one_loop():
         if reliable:
             assert dim == 0, (k, dim)
     # so the exact contraction is a homotopy there, π = 0: δ̄h + hδ̄ = Id in
-    # degrees 2..4, also on a graph where the ladder h fails
+    # degrees 2..4
     con = chain_contraction(cx)
-    bad = graph(3, [(1, 2), (1, 2), (1, 3), (1, 3)])
-    assert bad in cx.basis[3] and not homotopy_defect(bad).is_zero()
     for k in range(2, 5):
         assert con.projection(k).is_zero(), k
         assert con.homology_dim(k) == 0, k
-
-
-def test_mixed_quotient_complex_builds():
-    cx = mixed_quotient_complex(4, 5)
-    assert all(classify(g) == Classification.MIXED
-               for k in cx.basis for g in cx.basis[k])
 
 
 def _filtered_stripe_basis(kind, loop, n):
@@ -207,3 +133,9 @@ def test_stripe_rejects_bad_arguments():
     for args in (("orbit", 1, 4), ("core", -1, 4), ("mixed", 1, 0)):
         with pytest.raises(ValueError):
             stripe(*args)
+
+
+def test_stripe_refuses_an_oversized_degree():
+    # loop 4 has 484,698 min-valence-2 graphs at n = 6
+    with pytest.raises(ValueError, match="more than 150000 graphs in degree 6"):
+        stripe("all", 4, 7)
