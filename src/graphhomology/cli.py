@@ -110,11 +110,19 @@ def _cmd_product(config: RunConfig):
 
 
 def _word_payload_to_word(payload) -> symplectic.TensorWord:
+    if not isinstance(payload, list) or not all(isinstance(f, str) for f in payload):
+        raise ValueError(f"a word is a list of factor strings, not {payload!r}")
     return symplectic.word_from_strings(payload)
 
 
 def _monomial_payload(payload):
-    return [tuple(p) for p in payload["pairs"]]
+    """The pairs of a monomial record and its shape, None when absent."""
+    pairs = [tuple(p) for p in payload["pairs"]]
+    shape = payload.get("shape")
+    shape = tuple(shape) if shape else None
+    graphs._require_ints([*(shape or ()), *(s for p in pairs for s in p)],
+                         "shape parts and slots")
+    return pairs, shape
 
 
 _STAGES = ("word", "monomial", "diagram", "graph")
@@ -132,14 +140,11 @@ def _cmd_convert(config: RunConfig):
         out = [{"coeff": str(c), "monomial": {"pairs": [list(p) for p in m.pairs]}}
                for m, c in sorted(result.items(), key=lambda kv: kv[0])]
     elif route == ("monomial", "diagram"):
-        normalized = diagrams.pair_monomial(_monomial_payload(payload))
+        pairs, shape = _monomial_payload(payload)
         out = []
-        for mono, c in sorted(normalized.items(), key=lambda kv: kv[0]):
-            d = diagrams.phi(mono)
-            shape = payload.get("shape")
+        for d, c in sorted(diagrams.pair_monomial(pairs).items(), key=lambda kv: kv[0]):
             if shape:
-                packaged = diagrams.package(d, tuple(shape))
-                for pd, c2 in packaged.items():
+                for pd, c2 in diagrams.package(d, shape).items():
                     out.append({"coeff": str(c * c2),
                                 "diagram": diagrams.diagram_to_record(pd)})
             else:
@@ -148,23 +153,19 @@ def _cmd_convert(config: RunConfig):
                                         "pairs": [list(p) for p in d.pairs]}})
     elif route == ("diagram", "graph"):
         packaged = diagrams.diagram_from_record(payload)
-        out_comb = packaged.map_keys(diagrams.varphi)
-        out = graphs.lincomb_to_records(out_comb)
+        out = graphs.lincomb_to_records(packaged.map_keys(diagrams.varphi))
     elif route == ("diagram", "monomial"):
         packaged = diagrams.diagram_from_record(payload)
-        out = [{"coeff": str(c), "monomial": {"pairs": [list(p) for p in
-                                              diagrams.phi_inverse(diagrams.ChordDiagram(pd.m, pd.pairs)).pairs]}}
+        out = [{"coeff": str(c), "monomial": {"pairs": [list(p) for p in pd.pairs]}}
                for pd, c in packaged.items()]
     elif route == ("graph", "diagram"):
         g = graphs.graph_from_record(payload)
-        pd = diagrams.varphi_inverse(g)
-        out = diagrams.diagram_to_record(pd)
+        out = diagrams.diagram_to_record(diagrams.varphi_inverse(g))
     elif route == ("monomial", "word"):
-        shape = payload.get("shape")
+        pairs, shape = _monomial_payload(payload)
         if not shape:
             raise SystemExit2("monomial→word needs a shape")
-        w = symplectic.split_S(_monomial_payload(payload), tuple(shape))
-        out = symplectic.word_to_strings(w)
+        out = symplectic.word_to_strings(symplectic.split_S(pairs, shape))
     elif route == ("graph", "word"):
         g = graphs.graph_from_record(payload)
         out = symplectic.word_to_strings(symplectic.graph_to_word(g))
@@ -330,27 +331,36 @@ def run(config: RunConfig) -> int:
     return handler(config)
 
 
+# every option and the commands that read it; each command also takes --output
+_OPTIONS = {
+    "--vertices": ({"type": int}, ("enumerate", "verify")),
+    "--edges": ({"type": int}, ("enumerate", "verify")),
+    "--min-valence": ({"type": int, "dest": "min_valence"}, ("enumerate",)),
+    "--connected": ({"action": "store_true"}, ("enumerate",)),
+    "--lie": ({"action": "store_true"}, ("diff",)),
+    "--input": ({}, ("diff", "coproduct", "product", "convert")),
+    "--from": ({"dest": "convert_from", "required": True}, ("convert",)),
+    "--to": ({"dest": "convert_to", "required": True}, ("convert",)),
+    "--loop": ({"type": int}, ("homology",)),
+    "--polygons": ({"action": "store_true"}, ("homology",)),
+    "--max-n": ({"type": int, "dest": "max_n"}, ("homology",)),
+    "--suite": ({"choices": SUITES}, ("verify",)),
+    "--seed": ({"type": int}, ("verify",)),
+    "--degree": ({"type": int}, ("verify",)),
+    "--output": ({}, tuple(_COMMANDS)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command, taking only its options; an option left
+    out is absent from the parsed namespace, so RunConfig's default holds."""
     parser = argparse.ArgumentParser(prog="graphhomology")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--vertices", type=int, default=4)
-        p.add_argument("--edges", type=int, default=6)
-        p.add_argument("--min-valence", type=int, default=0, dest="min_valence")
-        p.add_argument("--connected", action="store_true")
-        p.add_argument("--lie", action="store_true")
-        p.add_argument("--polygons", action="store_true")
-        p.add_argument("--loop", type=int)
-        p.add_argument("--suite", choices=SUITES)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--input")
-        p.add_argument("--output")
-        p.add_argument("--max-n", type=int, default=5, dest="max_n")
-        p.add_argument("--degree", type=int, default=8)
-        if name == "convert":
-            p.add_argument("--from", dest="convert_from", required=True)
-            p.add_argument("--to", dest="convert_to", required=True)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag, (kwargs, commands) in _OPTIONS.items():
+            if name in commands:
+                p.add_argument(flag, **kwargs)
     return parser
 
 

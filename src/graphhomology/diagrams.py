@@ -2,9 +2,12 @@
 
 A chord diagram on m chords is a perfect pairing of {1..2m}; pairs are stored
 (min, max) and sorted by first element, so the base point 1 opens the first
-pair.  Packaged diagrams take the pairing modulo independent permutations of
-consecutive slot blocks ("packages"); a chord inside one package annihilates
-the class at construction.
+pair.  A standard pair monomial, a product of antisymmetric pair symbols
+y_{a,b}, is the same data, so one type, `ChordDiagram`, serves as both and
+the paper's φ between them is the identity.  Packaged diagrams take the
+pairing modulo independent permutations of consecutive slot blocks
+("packages"); a chord inside one package annihilates the class at
+construction.
 
 A class is fixed by the multiset of package pairs its chords join, and its
 canonical representative, the lexicographically smallest pairing in the
@@ -25,19 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlinalg import LinComb
-from .graphs import Graph, graph, valences
+from .graphs import Graph, _require_ints, _signed_pairs, graph, valences
 
 __all__ = [
     "ChordDiagram",
     "PackagedDiagram",
-    "PairMonomial",
     "chord_diagram",
-    "oriented_pairs_to_diagram",
     "pair_monomial",
     "phi",
-    "phi_inverse",
     "sigma_act_diagram",
-    "sigma_act_monomial",
     "package",
     "diagram_differential",
     "varphi",
@@ -60,10 +59,18 @@ class LowValenceError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class ChordDiagram:
-    """Perfect pairing of {1..2m}: sorted (min, max) pairs sorted by first slot."""
+    """Perfect pairing of {1..2m}: sorted (min, max) pairs sorted by first slot.
 
-    m: int
+    The same data is a standard pair monomial y_{a1,b1} ... y_{am,bm}, so
+    this one type is both; signs from reversed pairs live in the enclosing
+    linear combination.
+    """
+
     pairs: tuple[tuple[int, int], ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.pairs)
 
     def __repr__(self) -> str:
         return f"ChordDiagram({list(map(list, self.pairs))})"
@@ -76,96 +83,43 @@ def chord_diagram(pairs) -> ChordDiagram:
     seen = [s for p in norm for s in p]
     if sorted(seen) != list(range(1, 2 * m + 1)):
         raise ValueError(f"pairs {pairs} do not partition 1..{2 * m}")
-    return ChordDiagram(m, tuple(norm))
-
-
-def oriented_pairs_to_diagram(pairs) -> LinComb:
-    """Directed chords to ±1 times a canonical diagram; each flip costs -1."""
-    sign = 1
-    for a, b in pairs:
-        if a == b:
-            return LinComb.zero()
-        if a > b:
-            sign = -sign
-    return LinComb.of(chord_diagram(pairs), sign)
-
-
-@dataclass(frozen=True, order=True)
-class PairMonomial:
-    """Product of antisymmetric pair symbols in standard form.
-
-    Pairs (min, max) sorted by first index; indices are a permutation of
-    {1..2m}.  Signs from rewriting a reversed pair live in the enclosing
-    linear combination.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __repr__(self) -> str:
-        return "PairMonomial(" + "".join(f"y{a},{b} " for a, b in self.pairs).strip() + ")"
+    return ChordDiagram(tuple(norm))
 
 
 def pair_monomial(pairs) -> LinComb:
-    """Normalize a written pair sequence to ±1 times a standard monomial."""
-    sign = 1
-    norm = []
-    for a, b in pairs:
-        if a == b:
-            return LinComb.zero()
-        if a > b:
-            sign = -sign
-            a, b = b, a
-        norm.append((a, b))
-    norm.sort()
-    mono = PairMonomial(tuple(norm))
+    """Normalize a written pair sequence to ±1 times a standard monomial.
+
+    Each reversed pair costs -1 and a pair (a, a) gives zero.
+    """
+    signed = _signed_pairs(pairs)
+    if signed is None:
+        return LinComb.zero()
+    sign, norm = signed
     slots = sorted(s for p in norm for s in p)
     if slots != list(range(1, 2 * len(norm) + 1)):
         raise ValueError(f"indices of {pairs} are not a permutation of 1..{2 * len(norm)}")
-    return LinComb.of(mono, sign)
+    return LinComb.of(ChordDiagram(norm), sign)
 
 
-def phi(mono: PairMonomial) -> ChordDiagram:
-    """Standard monomials and diagrams share the same pairing data."""
-    return ChordDiagram(len(mono.pairs), mono.pairs)
+def phi(d: ChordDiagram) -> ChordDiagram:
+    """φ from standard pair monomials to chord diagrams: the identity.
 
-
-def phi_inverse(d: ChordDiagram) -> PairMonomial:
-    return PairMonomial(d.pairs)
-
-
-def _act_on_pairs(perm, pairs) -> LinComb:
-    """Relabel slots by perm^{-1}, collecting -1 per reversed pair."""
-    size = len(perm)
-    inv = [0] * (size + 1)
-    for k, v in enumerate(perm, start=1):
-        inv[v] = k
-    sign = 1
-    moved = []
-    for a, b in pairs:
-        a2, b2 = inv[a], inv[b]
-        if a2 > b2:
-            sign = -sign
-            a2, b2 = b2, a2
-        moved.append((a2, b2))
-    moved.sort()
-    return LinComb.of(tuple(moved), sign)
+    Both are the same pairing data, held by the one type ChordDiagram.
+    ``perfbench/workloads.py`` still calls φ between `tstar` and `package`.
+    """
+    return d
 
 
 def sigma_act_diagram(perm, d: ChordDiagram) -> LinComb:
-    """Signed slot relabelling of a diagram."""
+    """Signed slot relabelling by perm^{-1}, collecting -1 per reversed pair."""
     perm = tuple(perm)
     if len(perm) != 2 * d.m or sorted(perm) != list(range(1, 2 * d.m + 1)):
         raise ValueError(f"permutation {perm} does not act on {2 * d.m} slots")
-    return _act_on_pairs(perm, d.pairs).map_keys(lambda ps: ChordDiagram(d.m, ps))
-
-
-def sigma_act_monomial(perm, mono: PairMonomial) -> LinComb:
-    """Signed slot relabelling of a standard monomial."""
-    perm = tuple(perm)
-    m = len(mono.pairs)
-    if len(perm) != 2 * m or sorted(perm) != list(range(1, 2 * m + 1)):
-        raise ValueError(f"permutation {perm} does not act on {2 * m} slots")
-    return _act_on_pairs(perm, mono.pairs).map_keys(PairMonomial)
+    inv = [0] * (len(perm) + 1)
+    for k, v in enumerate(perm, start=1):
+        inv[v] = k
+    sign, pairs = _signed_pairs((inv[a], inv[b]) for a, b in d.pairs)
+    return LinComb.of(ChordDiagram(pairs), sign)
 
 
 @dataclass(frozen=True, order=True)
@@ -360,7 +314,7 @@ def all_pairings(m: int):
             rest = slots[1:k] + slots[k + 1:]
             for tail in rec(rest):
                 yield ((first, partner),) + tail
-    return [ChordDiagram(m, p) for p in rec(tuple(range(1, 2 * m + 1)))]
+    return [ChordDiagram(p) for p in rec(tuple(range(1, 2 * m + 1)))]
 
 
 def diagram_to_record(pd: PackagedDiagram) -> dict:
@@ -368,5 +322,7 @@ def diagram_to_record(pd: PackagedDiagram) -> dict:
 
 
 def diagram_from_record(rec: dict) -> LinComb:
-    d = chord_diagram([tuple(p) for p in rec["pairs"]])
-    return package(d, tuple(rec["shape"]))
+    pairs = [tuple(p) for p in rec["pairs"]]
+    shape = tuple(rec["shape"])
+    _require_ints([*shape, *(s for p in pairs for s in p)], "shape parts and slots")
+    return package(chord_diagram(pairs), shape)

@@ -107,6 +107,8 @@ class Graph:
 
 def graph(n: int, edges) -> Graph:
     """Build a canonical Graph, sorting pairs and the multiset; loops rejected."""
+    if n < 0:
+        raise BadVertexError(f"a graph needs n >= 0 vertices, not {n}")
     norm = []
     for e in edges:
         i, j = e
@@ -130,25 +132,38 @@ class OrientedEdgeList:
     edges: tuple[tuple[int, int], ...]
 
 
+def _signed_pairs(pairs) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+    """(sign, sorted (low, high) pairs) of written pairs, or None if one is a loop.
+
+    Each pair written high end first flips, contributing -1.
+    """
+    sign = 1
+    norm = []
+    for a, b in pairs:
+        if a == b:
+            return None
+        if a > b:
+            sign = -sign
+            a, b = b, a
+        norm.append((a, b))
+    norm.sort()
+    return sign, tuple(norm)
+
+
 def canonicalize(o: OrientedEdgeList) -> LinComb:
     """Reduce a directed edge list to ±1 times a canonical Graph, or zero.
 
     Each edge [i, j] with i > j flips, contributing -1; any loop [i, i]
     annihilates the whole element.
     """
-    sign = 1
-    pairs = []
     for i, j in o.edges:
         if not (1 <= i <= o.n and 1 <= j <= o.n):
             raise BadVertexError(f"edge [{i},{j}] outside vertex range 1..{o.n}")
-        if i == j:
-            return LinComb.zero()
-        if i > j:
-            sign = -sign
-            i, j = j, i
-        pairs.append((i, j))
-    pairs.sort()
-    return LinComb.of(Graph(o.n, tuple(pairs)), sign)
+    signed = _signed_pairs(o.edges)
+    if signed is None:
+        return LinComb.zero()
+    sign, edges = signed
+    return LinComb.of(Graph(o.n, edges), sign)
 
 
 def _contract(g: Graph, k: int) -> Graph | None:
@@ -300,10 +315,9 @@ def sigma_act(perm, g: Graph) -> LinComb:
     perm = tuple(perm)
     if len(perm) != g.n or sorted(perm) != list(range(1, g.n + 1)):
         raise SizeMismatchError(f"permutation {perm} does not act on {g.n} vertices")
-    reversed_edges = sum(1 for i, j in g.edges if perm[i - 1] > perm[j - 1])
-    sign = perm_sign(perm) * (-1 if reversed_edges % 2 else 1)
-    relabelled = graph(g.n, ((perm[i - 1], perm[j - 1]) for i, j in g.edges))
-    return LinComb.of(relabelled, sign)
+    # a bijection keeps g loopless, so the relabelled pairs never vanish
+    flips, edges = _signed_pairs((perm[i - 1], perm[j - 1]) for i, j in g.edges)
+    return LinComb.of(Graph(g.n, edges), perm_sign(perm) * flips)
 
 
 LIE_CLASS_MAX_N = 12
@@ -523,8 +537,17 @@ def graph_to_record(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
+def _require_ints(values, what: str) -> None:
+    """Refuse a record whose numbers are not all ints (bools and floats included)."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, not {v!r}")
+
+
 def graph_from_record(rec: dict) -> Graph:
-    return graph(int(rec["n"]), [tuple(e) for e in rec["edges"]])
+    edges = [tuple(e) for e in rec["edges"]]
+    _require_ints([rec["n"], *(v for e in edges for v in e)], "n and edge vertices")
+    return graph(rec["n"], edges)
 
 
 def lincomb_to_records(x: LinComb) -> list[dict]:

@@ -1,29 +1,29 @@
 """Polynomial algebra in p_i, q_i, the Poisson bracket, and the word bridges.
 
 Tensor words are ordered tuples of commutative monomials; a monomial is the
-sorted tuple of its generators with multiplicity.  The pairing evaluation
-``tstar`` flattens a word (factor by factor, each factor in canonical
-generator order) and sums over all perfect matchings whose pairs are
-conjugate couples (p_k with q_k), weighting each pair by the symplectic form
-evaluated in position order.  A couple whose q precedes its p therefore
+sorted tuple of its generators with multiplicity, and a polynomial is a
+`LinComb` of monomials with int or Fraction coefficients.  The pairing
+evaluation ``tstar`` flattens a word (factor by factor, each factor in
+canonical generator order) and sums over all perfect matchings whose pairs
+are conjugate couples (p_k with q_k), weighting each pair by the symplectic
+form evaluated in position order.  A couple whose q precedes its p therefore
 contributes -1; these re-orientation signs are exactly the ones the graph
-differential carries, which makes the word-to-graph square commute.
+differential carries, which makes the word-to-graph square commute.  The
+keys of ``tstar`` are standard pair monomials, which are `ChordDiagram`s.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactlinalg import LinComb, rational
-from .diagrams import PairMonomial, package, phi, phi_inverse, varphi, varphi_inverse
+from .exactlinalg import LinComb
+from .diagrams import ChordDiagram, package, varphi, varphi_inverse
 from .graphs import Graph
 
 __all__ = [
     "Generator",
     "Monomial",
-    "PQPolynomial",
     "TensorWord",
     "UNIT_WORD",
     "gen",
@@ -94,108 +94,41 @@ def _monomial_str(mono: Monomial) -> str:
     return " ".join(repr(g) for g in mono)
 
 
-class PQPolynomial:
-    """Commutative polynomial: map from monomials to exact rationals."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = rational(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
-
-    @classmethod
-    def of(cls, mono: Monomial, coeff=1) -> "PQPolynomial":
-        return cls({mono: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PQPolynomial) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "PQPolynomial") -> "PQPolynomial":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        return PQPolynomial(out)
-
-    def __sub__(self, other: "PQPolynomial") -> "PQPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, s) -> "PQPolynomial":
-        s = rational(s)
-        return PQPolynomial({m: c * s for m, c in self.terms.items()})
-
-    def __mul__(self, other: "PQPolynomial") -> "PQPolynomial":
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = monomial(m1 + m2)
-                acc = out.get(prod, Fraction(0)) + c1 * c2
-                if acc:
-                    out[prod] = acc
-                else:
-                    out.pop(prod, None)
-        return PQPolynomial(out)
-
-    def diff(self, g: Generator) -> "PQPolynomial":
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            count = mono.count(g)
-            if not count:
-                continue
-            lowered = list(mono)
-            lowered.remove(g)
-            key = tuple(lowered)
-            acc = out.get(key, Fraction(0)) + coeff * count
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return PQPolynomial(out)
-
-    def generators(self) -> set[Generator]:
-        return {g for mono in self.terms for g in mono}
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "PQPolynomial(0)"
-        bits = [f"{c}*{_monomial_str(m) or '1'}" for m, c in sorted(self.terms.items())]
-        return "PQPolynomial(" + " + ".join(bits) + ")"
-
-
-def poly(text: str, coeff=1) -> PQPolynomial:
+def poly(text: str, coeff=1) -> LinComb:
     """One monomial from a string like "p1 q2 p3" (repeats or ^k for powers)."""
-    return PQPolynomial.of(_parse_monomial(text), coeff)
+    return LinComb.of(_parse_monomial(text), coeff)
 
 
-def poisson_bracket(f: PQPolynomial, g: PQPolynomial) -> PQPolynomial:
+def _product(f: LinComb, g: LinComb) -> LinComb:
+    return f.mapped(lambda a: g.map_keys(lambda b: monomial(a + b)))
+
+
+def _partial(f: LinComb, g: Generator) -> LinComb:
+    """∂f/∂g: each monomial loses one g and gains its multiplicity as a factor."""
+    def lower(mono: Monomial) -> LinComb:
+        if g not in mono:
+            return LinComb.zero()
+        k = mono.index(g)
+        return LinComb.of(mono[:k] + mono[k + 1:], mono.count(g))
+    return f.mapped(lower)
+
+
+def poisson_bracket(f: LinComb, g: LinComb) -> LinComb:
     """{f, g} = sum_i df/dp_i dg/dq_i - dg/dp_i df/dq_i, exact."""
-    indices = {gn.index for gn in f.generators() | g.generators()}
-    out = PQPolynomial()
+    indices = {gn.index for x in (f, g) for mono in x.keys() for gn in mono}
+    out = LinComb.zero()
     for i in sorted(indices):
         p_i, q_i = gen("p", i), gen("q", i)
-        out = out + f.diff(p_i) * g.diff(q_i) - g.diff(p_i) * f.diff(q_i)
+        out = (out + _product(_partial(f, p_i), _partial(g, q_i))
+               - _product(_partial(g, p_i), _partial(f, q_i)))
     return out
 
 
-def symplectic_form(u: Generator, v: Generator) -> Fraction:
+def symplectic_form(u: Generator, v: Generator) -> int:
     """ω(p_i, q_i) = 1, ω(q_i, p_i) = -1, all other generator pairs 0."""
     if u.index == v.index and u.kind != v.kind:
-        return Fraction(1) if u.kind == "p" else Fraction(-1)
-    return Fraction(0)
+        return 1 if u.kind == "p" else -1
+    return 0
 
 
 @dataclass(frozen=True, order=True)
@@ -228,8 +161,8 @@ def word_to_strings(w: TensorWord) -> list[str]:
     return [_monomial_str(f) for f in w.factors]
 
 
-def _bracket_monomials(a: Monomial, b: Monomial) -> PQPolynomial:
-    return poisson_bracket(PQPolynomial.of(a), PQPolynomial.of(b))
+def _bracket_monomials(a: Monomial, b: Monomial) -> LinComb:
+    return poisson_bracket(LinComb.of(a), LinComb.of(b))
 
 
 def leibniz_differential(x: LinComb) -> LinComb:
@@ -244,7 +177,7 @@ def leibniz_differential(x: LinComb) -> LinComb:
                 if br.is_zero():
                     continue
                 sign = (-1) ** j
-                for mono, coeff in br.terms.items():
+                for mono, coeff in br.items():
                     new = fs[:i - 1] + (mono,) + fs[i:j - 1] + fs[j:]
                     out = out + LinComb.of(TensorWord(new), coeff * sign)
         return out
@@ -263,18 +196,18 @@ def tstar(w: TensorWord) -> LinComb:
 
     Only matchings pairing each p_k with a q_k survive; the coefficient is
     the product of form values on (position-min, position-max) ordered pairs.
-    Odd total degree yields the empty combination.
+    Each matching is built in sorted order, so it is its own monomial key, a
+    ChordDiagram.  Odd total degree yields the empty combination.
     """
     letters = _flatten(w)
     if len(letters) % 2:
         return LinComb.zero()
 
-    out = LinComb.zero()
+    out: dict[ChordDiagram, int] = {}
 
     def rec(unpaired: tuple[int, ...], acc_pairs, acc_coeff):
-        nonlocal out
         if not unpaired:
-            out = out + LinComb.of(PairMonomial(tuple(acc_pairs)), acc_coeff)
+            out[ChordDiagram(tuple(acc_pairs))] = acc_coeff
             return
         a = unpaired[0]
         for k in range(1, len(unpaired)):
@@ -284,24 +217,23 @@ def tstar(w: TensorWord) -> LinComb:
                 continue
             rec(unpaired[1:k] + unpaired[k + 1:], acc_pairs + [(a, b)], acc_coeff * w_ab)
 
-    rec(tuple(range(1, len(letters) + 1)), [], Fraction(1))
-    return out
+    rec(tuple(range(1, len(letters) + 1)), [], 1)
+    return LinComb(out)
 
 
-def split_S(mono: PairMonomial | list, shape) -> TensorWord:
-    """Section of the pairing evaluation: p_k at the pair's first slot, q_k
-    at its second, the flat word then cut into factors by shape."""
-    pairs = mono.pairs if isinstance(mono, PairMonomial) else [tuple(p) for p in mono]
+def split_S(pairs, shape) -> TensorWord:
+    """Section of the pairing evaluation: p_k at the k-th pair's first slot,
+    q_k at its second, the flat word then cut into factors by shape."""
     shape = tuple(int(k) for k in shape)
     slots = 2 * len(pairs)
     if sum(shape) != slots or any(k < 1 for k in shape):
         raise BadShapeError(f"shape {shape} incompatible with {slots} slots")
-    flat: list[Generator | None] = [None] * slots
+    if sorted(s for p in pairs for s in p) != list(range(1, slots + 1)):
+        raise ValueError(f"pairs {pairs} do not fill 1..{slots}")
+    flat = [None] * slots
     for k, (a, b) in enumerate(pairs, start=1):
         flat[a - 1] = gen("p", k)
         flat[b - 1] = gen("q", k)
-    if any(g is None for g in flat):
-        raise ValueError(f"pairs {pairs} do not fill 1..{slots}")
     factors = []
     pos = 0
     for size in shape:
@@ -331,12 +263,12 @@ def _word_to_graphs_single(w: TensorWord) -> LinComb:
     shape = w.degree_shape()
     if any(k < 2 for k in shape):
         raise ValueError(f"factor degrees {shape} must all be >= 2")
-    packaged = tstar(w).mapped(lambda mono: package(phi(mono), shape))
+    packaged = tstar(w).mapped(lambda d: package(d, shape))
     return packaged.map_keys(varphi)
 
 
 def word_to_graphs(x: LinComb | TensorWord) -> LinComb:
-    """The composite word -> monomials -> packaged diagrams -> graphs."""
+    """The composite word -> monomials (= chord diagrams) -> packaged diagrams -> graphs."""
     if isinstance(x, TensorWord):
         x = LinComb.of(x)
     return x.mapped(_word_to_graphs_single)
@@ -345,7 +277,7 @@ def word_to_graphs(x: LinComb | TensorWord) -> LinComb:
 def graph_to_word(g: Graph) -> TensorWord:
     """A section of word_to_graphs: lift through the slot-assignment diagram."""
     pd = varphi_inverse(g)
-    return split_S(phi_inverse(pd), pd.shape)
+    return split_S(pd.pairs, pd.shape)
 
 
 def _relabel_word(w: TensorWord, index_map) -> TensorWord:

@@ -8,6 +8,10 @@ from graphhomology.cli import SUITES, main
 from graphhomology.exactlinalg import ChainContraction, homology_dims
 
 G_REC = {"n": 3, "edges": [[1, 2], [1, 2], [1, 3], [2, 3]]}
+# the worked examples W_EX, D_EX (packaged by shape (3, 3, 2)) and G_EX
+W_REC = ["p1 p2 p3", "q1 q2 p4", "q3 q4"]
+D_REC = {"shape": [3, 3, 2], "pairs": [[1, 4], [2, 7], [3, 5], [6, 8]]}
+WORKED_PAIRS = [[1, 4], [2, 5], [3, 7], [6, 8]]
 
 
 def run_cli(args, capsys):
@@ -98,6 +102,46 @@ def test_convert_graph_word_round_trip(tmp_path, capsys):
     assert json.loads(out) == [{"coeff": "1", "graph": G_REC}]
 
 
+@pytest.mark.parametrize("src, dst, payload, expected", [
+    ("word", "monomial", W_REC, [{"coeff": "1", "monomial": {"pairs": WORKED_PAIRS}}]),
+    ("diagram", "monomial", D_REC, [{"coeff": "1", "monomial": {"pairs": WORKED_PAIRS}}]),
+    ("graph", "diagram", G_REC, {"pairs": WORKED_PAIRS, "shape": [3, 3, 2]}),
+    ("monomial", "word", D_REC, ["p1 p2 p3", "q1 q3 p4", "q2 q4"]),
+])
+def test_convert_route_prints_exact_json(src, dst, payload, expected, tmp_path, capsys):
+    path = write_json(tmp_path, "in.json", payload)
+    rc, out = run_cli(["convert", "--from", src, "--to", dst, "--input", path], capsys)
+    assert rc == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["diff", "--lie"], {"n": -1, "edges": []}),
+    (["coproduct"], {"n": -1, "edges": []}),
+    (["product"], {"left": {"n": -1, "edges": []}, "right": {"n": 1, "edges": []}}),
+    (["diff"], {"n": 2, "edges": [[1, "2"]]}),
+    (["diff"], {"n": 2.0, "edges": [[1, 2]]}),
+    (["diff"], {"n": True, "edges": []}),
+    (["convert", "--from", "word", "--to", "graph"], ["p1 q1", 3]),
+    (["convert", "--from", "diagram", "--to", "graph"],
+     {"shape": [2], "pairs": [[1, "2"]]}),
+    (["convert", "--from", "diagram", "--to", "monomial"],
+     {"shape": ["2"], "pairs": [[1, 2]]}),
+    (["convert", "--from", "monomial", "--to", "diagram"], {"pairs": [["1", 2]]}),
+    (["convert", "--from", "monomial", "--to", "word"],
+     {"shape": [2.5], "pairs": [[1, 2]]}),
+    (["convert", "--from", "monomial", "--to", "word"],
+     {"shape": [2], "pairs": [[0, 1]]}),
+])
+def test_malformed_input_is_a_usage_error(argv, payload, tmp_path, capsys):
+    path = write_json(tmp_path, "bad.json", payload)
+    rc = main(argv + ["--input", path])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+
+
 def test_convert_no_route(tmp_path, capsys):
     path = write_json(tmp_path, "g.json", G_REC)
     rc = main(["convert", "--from", "graph", "--to", "monomial",
@@ -115,11 +159,22 @@ def test_homology_polygons(capsys):
 
 
 def test_homology_needs_loop_or_polygons(capsys):
-    rc = main(["homology", "--max-n", "4", "--edges", "6"])
+    rc = main(["homology", "--max-n", "4"])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "usage error: homology needs --loop L or --polygons\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--max-n", "4", "--edges", "6"],
+    ["enumerate", "--suite", "d2"],
+])
+def test_command_refuses_an_option_it_does_not_read(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
 
 def test_homology_loop_prints_core_stripe(capsys):

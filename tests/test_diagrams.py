@@ -10,19 +10,15 @@ from graphhomology.diagrams import (
     ChordDiagram,
     LowValenceError,
     PackagedDiagram,
-    PairMonomial,
     all_pairings,
     chord_diagram,
     diagram_differential,
     diagram_from_record,
     diagram_to_record,
-    oriented_pairs_to_diagram,
     package,
     pair_monomial,
     phi,
-    phi_inverse,
     sigma_act_diagram,
-    sigma_act_monomial,
     varphi,
     varphi_inverse,
 )
@@ -97,41 +93,50 @@ def assert_package_is_orbit_min(pairs, shape):
 
 def test_pair_monomial_normalization():
     assert pair_monomial([(1, 4), (2, 7), (3, 5), (8, 6)]) == \
-        LinComb.of(PairMonomial(((1, 4), (2, 7), (3, 5), (6, 8))), -1)
+        LinComb.of(ChordDiagram(((1, 4), (2, 7), (3, 5), (6, 8))), -1)
     assert pair_monomial([(2, 2)]).is_zero()
     with pytest.raises(ValueError):
         pair_monomial([(1, 3)])
 
 
 def test_phi_worked_example():
-    mono = PairMonomial(((1, 4), (2, 7), (3, 5), (6, 8)))
+    mono = ChordDiagram(((1, 4), (2, 7), (3, 5), (6, 8)))
     assert phi(mono) == D_EX
-    assert phi(PairMonomial(((1, 2),))) == chord_diagram([(1, 2)])
+    assert phi(ChordDiagram(((1, 2),))) == chord_diagram([(1, 2)])
 
 
 def test_phi_bijection_counts():
     for m in range(1, 4):
         diagrams_m = all_pairings(m)
         assert len(diagrams_m) == double_factorial(2 * m - 1)
-        monos = {phi_inverse(d) for d in diagrams_m}
-        assert len(monos) == len(diagrams_m)
-        assert all(phi(phi_inverse(d)) == d for d in diagrams_m)
+        assert len(set(diagrams_m)) == len(diagrams_m)
+        assert all(phi(d) is d for d in diagrams_m)
 
 
 def test_sigma_act_diagram_values():
     d = chord_diagram([(1, 2)])
     assert sigma_act_diagram((1, 2), d) == LinComb.of(d)
     assert sigma_act_diagram((2, 1), d) == LinComb.of(d, -1)
+    # slots relabel by perm^{-1} = (1, 4, 2, 3): (1, 3) -> (1, 2) keeps its
+    # orientation and (2, 4) -> (4, 3) reverses, so one flip
+    two = chord_diagram([(1, 3), (2, 4)])
+    assert sigma_act_diagram((1, 3, 4, 2), two) == \
+        LinComb.of(chord_diagram([(1, 2), (3, 4)]), -1)
+    # perm^{-1} = (1, 3, 2, 4) keeps both orientations
+    assert sigma_act_diagram((1, 3, 2, 4), two) == \
+        LinComb.of(chord_diagram([(1, 2), (3, 4)]))
 
 
 def test_sigma_equivariance_with_phi():
+    # normalising the relabelled written monomial gives the signed action on
+    # its diagram, φ being the identity
     rng = random.Random(5)
     for d in all_pairings(2):
-        mono = phi_inverse(d)
         for _ in range(10):
             perm = list(range(1, 5))
             rng.shuffle(perm)
-            lhs = sigma_act_monomial(tuple(perm), mono).map_keys(phi)
+            inv = {v: k for k, v in enumerate(perm, start=1)}
+            lhs = pair_monomial([(inv[a], inv[b]) for a, b in d.pairs]).map_keys(phi)
             rhs = sigma_act_diagram(tuple(perm), d)
             assert lhs == rhs
 
@@ -217,9 +222,9 @@ def test_varphi_round_trips():
 
 
 def test_oriented_pairs_sign():
-    assert oriented_pairs_to_diagram([(2, 1), (3, 4)]) == \
+    assert pair_monomial([(2, 1), (3, 4)]) == \
         LinComb.of(chord_diagram([(1, 2), (3, 4)]), -1)
-    assert oriented_pairs_to_diagram([(1, 1)]).is_zero()
+    assert pair_monomial([(1, 1)]).is_zero()
 
 
 def test_diagram_records():
@@ -276,7 +281,7 @@ def test_package_matches_orbit_min_on_word_monomials():
         w = random_split_word(rng)
         shape = w.degree_shape()
         for mono in tstar(w).keys():
-            if package(phi(mono), shape).is_zero():
+            if package(mono, shape).is_zero():
                 continue
             assert_package_is_orbit_min(mono.pairs, shape)
             checked += 1

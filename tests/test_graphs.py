@@ -142,6 +142,18 @@ def test_canonicalize_idempotent_on_canonical_input():
         assert again == LinComb.of(g)
 
 
+def test_signed_pairs():
+    assert graphs._signed_pairs([(3, 1), (2, 2)]) is None
+    assert graphs._signed_pairs([]) == (1, ())
+    assert graphs._signed_pairs([(4, 2), (1, 3), (2, 1)]) == (1, ((1, 2), (1, 3), (2, 4)))
+    rng = random.Random(4)
+    for _ in range(50):
+        pairs = [tuple(rng.sample(range(1, 7), 2)) for _ in range(rng.randint(1, 5))]
+        reversed_pairs = sum(1 for a, b in pairs if a > b)
+        assert graphs._signed_pairs(pairs) == (
+            (-1) ** reversed_pairs, tuple(sorted((min(p), max(p)) for p in pairs)))
+
+
 def test_contract_worked_examples():
     assert contract(G_EX, (1, 3)) == LinComb.of(TRIPLE)
     assert contract(DOUBLE, (1, 2)).is_zero()
