@@ -116,12 +116,10 @@ def _word_payload_to_word(payload) -> symplectic.TensorWord:
 
 
 def _monomial_payload(payload):
-    """The pairs of a monomial record and its shape, None when absent."""
+    """The pairs of a monomial record and its shape, empty when absent."""
     pairs = [tuple(p) for p in payload["pairs"]]
-    shape = payload.get("shape")
-    shape = tuple(shape) if shape else None
-    graphs._require_ints([*(shape or ()), *(s for p in pairs for s in p)],
-                         "shape parts and slots")
+    shape = tuple(payload.get("shape") or ())
+    graphs._require_ints([*shape, *(s for p in pairs for s in p)], "shape parts and slots")
     return pairs, shape
 
 
@@ -331,7 +329,7 @@ def run(config: RunConfig) -> int:
     return handler(config)
 
 
-# every option and the commands that read it; each command also takes --output
+# every option and the commands that read it
 _OPTIONS = {
     "--vertices": ({"type": int}, ("enumerate", "verify")),
     "--edges": ({"type": int}, ("enumerate", "verify")),
