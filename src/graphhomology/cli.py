@@ -102,7 +102,7 @@ def _cmd_coproduct(config: RunConfig):
 
 
 def _cmd_product(config: RunConfig):
-    payload = _load_input(config)
+    payload = graphs._require_json(_load_input(config), dict, "a product record")
     left = graphs.graph_from_record(payload["left"])
     right = graphs.graph_from_record(payload["right"])
     _emit(config, graphs.graph_to_record(graphs.disjoint_union(left, right)))
@@ -117,8 +117,10 @@ def _word_payload_to_word(payload) -> symplectic.TensorWord:
 
 def _monomial_payload(payload):
     """The pairs of a monomial record and its shape, empty when absent."""
-    pairs = [tuple(p) for p in payload["pairs"]]
-    shape = tuple(payload.get("shape") or ())
+    graphs._require_json(payload, dict, "a monomial record")
+    pairs = [tuple(graphs._require_json(p, list, "a pair"))
+             for p in graphs._require_json(payload["pairs"], list, "pairs")]
+    shape = tuple(graphs._require_json(payload.get("shape") or [], list, "a shape"))
     graphs._require_ints([*shape, *(s for p in pairs for s in p)], "shape parts and slots")
     return pairs, shape
 
@@ -286,6 +288,8 @@ def _bridge_graphs(config: RunConfig):
 
 
 def _cmd_verify(config: RunConfig):
+    if min(config.vertices, config.edges, config.degree) < 0:
+        raise SystemExit2("--vertices, --edges and --degree must be non-negative")
     lines = []
     failures = 0
     total = 0
@@ -294,6 +298,8 @@ def _cmd_verify(config: RunConfig):
         if not ok:
             failures += 1
         lines.append(f"{'OK  ' if ok else 'FAIL'} {label}{note}")
+    if not total:
+        raise SystemExit2(f"suite {config.suite} has no items within these bounds")
     header = (f"suite={config.suite} seed={config.seed} "
               f"vertices<={config.vertices} edges<={config.edges}")
     body = [header] + sorted(lines)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlinalg import LinComb
-from .graphs import Graph, _require_ints, _signed_pairs, graph, valences
+from .graphs import Graph, _require_ints, _require_json, _signed_pairs, graph, valences
 
 __all__ = [
     "ChordDiagram",
@@ -322,7 +322,9 @@ def diagram_to_record(pd: PackagedDiagram) -> dict:
 
 
 def diagram_from_record(rec: dict) -> LinComb:
-    pairs = [tuple(p) for p in rec["pairs"]]
-    shape = tuple(rec["shape"])
+    _require_json(rec, dict, "a diagram record")
+    pairs = [tuple(_require_json(p, list, "a pair"))
+             for p in _require_json(rec["pairs"], list, "pairs")]
+    shape = tuple(_require_json(rec["shape"], list, "a shape"))
     _require_ints([*shape, *(s for p in pairs for s in p)], "shape parts and slots")
     return package(chord_diagram(pairs), shape)

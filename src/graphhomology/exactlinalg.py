@@ -2,8 +2,10 @@
 
 A scalar is an ``int`` or a ``fractions.Fraction`` (lowest terms, positive
 denominator), never a float.  Integers stay integers: the graph differentials
-are integral, so their matrices, the d∘d check and `rank` run in integer
-arithmetic, and a Fraction appears only where a value is not integral.
+are integral, so their matrices and the d∘d check run in integer arithmetic.
+`rank` and `chain_contraction` share one fraction-free elimination, which
+scales each row to integers; a Fraction appears only where a value is not
+integral and in the back substitution that gives a contraction's h.
 Scalars are divided as ``Fraction(a, b)``, never ``a / b``, which gives a
 float on two ints.
 """
@@ -14,7 +16,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping
 
 Rational = int | Fraction
 
@@ -249,36 +251,55 @@ class SparseMatrix:
         return not self.entries
 
 
-def _integral_row(row: dict[int, Rational]) -> dict[int, int]:
-    """The row times the lcm of its entries' denominators: same support, ints."""
-    den = math.lcm(*(val.denominator for val in row.values()))
-    return {c: int(val * den) for c, val in row.items()}
+def _combine(row: dict[int, Rational], pivot: dict[int, Rational],
+             a: Rational, b: Rational) -> dict[int, Rational]:
+    """a·row - b·pivot on sparse vectors, zeros dropped."""
+    new = {c: a * val for c, val in row.items()} if a != 1 else dict(row)
+    for c, val in pivot.items():
+        acc = new.get(c, 0) - b * val
+        if acc:
+            new[c] = acc
+        else:
+            del new[c]
+    return new
 
 
-def rank(m: SparseMatrix) -> int:
-    """Exact rank over the rationals by sparse fraction-free elimination.
+def _eliminate(m: SparseMatrix, skip_rows: Container[int] = (),
+               transforms: bool = False) -> Iterator[
+        tuple[int, dict[int, int], dict[int, int] | None]]:
+    """Fraction-free elimination of the rows of m outside ``skip_rows``.
 
-    Each row is first scaled to integers by the lcm of its denominators.
-    Eliminating with pivot row p (pivot value pv) replaces a row r holding
-    the pivot column with value f by (pv/g)·r - (f/g)·p, g = gcd(f, pv),
-    divided by its content (Bareiss, Math. Comp. 1968, without the
-    determinant bookkeeping).  Every integer row is a nonzero multiple of
-    the row that Fraction elimination would hold, so supports, pivots and
-    the rank agree with it while the arithmetic stays in small ints.
+    Yields (pivot column, pivot row, transform) per pivot; their number is
+    the rank of those rows.  Each row is first scaled to integers by the lcm
+    of its denominators.  Eliminating with pivot row p (pivot value pv)
+    replaces a row r holding the pivot column with value f by
+    (pv/g)·r - (f/g)·p, g = gcd(f, pv), divided by its content (Bareiss,
+    Math. Comp. 1968, without the determinant bookkeeping).  Every integer
+    row is a nonzero multiple of the row Fraction elimination would hold,
+    so supports, pivots and the rank agree with it.
 
-    Deterministic pivot choice, the structured-elimination order (LaMacchia
-    & Odlyzko 1990): among remaining rows pick the sparsest (ties by
-    original index), pivot on its smallest column.  A heap keyed by
-    (length, original index) finds that row; entries left stale by an
-    update are skipped when popped.  Never floating point.
+    Pivot order is that of structured elimination (LaMacchia & Odlyzko
+    1990): the sparsest remaining row (ties by original index), on its
+    smallest column.  A heap keyed by (length, original index) finds that
+    row; entries left stale by an update are skipped when popped.
+
+    With ``transforms``, row r carries an integer transform T, starting at
+    {r: lcm}, that the same updates act on, and the content is taken over
+    row and transform together, so row = Σ_s T[s]·m_s exactly.  Without it
+    the transform is None.
     """
     acc: dict[int, dict[int, Rational]] = {}
     for (r, c), val in m.entries:
-        acc.setdefault(r, {})[c] = val
-    rows = {r: _integral_row(row) for r, row in acc.items()}
+        if r not in skip_rows:
+            acc.setdefault(r, {})[c] = val
+    rows, trans = {}, {}
+    for r, row in acc.items():
+        den = math.lcm(*(val.denominator for val in row.values()))
+        rows[r] = {c: int(val * den) for c, val in row.items()}
+        if transforms:
+            trans[r] = {r: den}
     heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
-    rk = 0
     while heap:
         length, r = heapq.heappop(heap)
         pivot = rows.get(r)
@@ -287,28 +308,31 @@ def rank(m: SparseMatrix) -> int:
         del rows[r]
         piv_col = min(pivot)
         pv = pivot[piv_col]
-        rk += 1
+        piv_trans = trans.pop(r, None)
+        yield piv_col, pivot, piv_trans
         for r2 in [r2 for r2, row in rows.items() if piv_col in row]:
-            row = rows[r2]
-            f = row[piv_col]
+            f = rows[r2][piv_col]
             g = math.gcd(f, pv)
             a, b = pv // g, f // g
-            new = {c: a * val for c, val in row.items()} if a != 1 else dict(row)
-            for c, val in pivot.items():
-                acc2 = new.get(c, 0) - b * val
-                if acc2:
-                    new[c] = acc2
-                else:
-                    del new[c]
+            new = _combine(rows[r2], pivot, a, b)
             if not new:
                 del rows[r2]
+                trans.pop(r2, None)
                 continue
-            content = math.gcd(*new.values())
+            new_trans = _combine(trans[r2], piv_trans, a, b) if transforms else {}
+            content = math.gcd(*new.values(), *new_trans.values())
             if content != 1:
                 new = {c: val // content for c, val in new.items()}
+                new_trans = {s: val // content for s, val in new_trans.items()}
             rows[r2] = new
+            if transforms:
+                trans[r2] = new_trans
             heapq.heappush(heap, (len(new), r2))
-    return rk
+
+
+def rank(m: SparseMatrix) -> int:
+    """Exact rank over the rationals: the pivot count of `_eliminate`."""
+    return sum(1 for _ in _eliminate(m))
 
 
 @dataclass(frozen=True)
@@ -373,72 +397,31 @@ def homology_dims(c: ChainComplexSlice) -> dict[int, tuple[int, bool]]:
     return out
 
 
-def _subtract_multiple(a: dict[int, Rational], b: dict[int, Rational],
-                       s: Rational) -> dict[int, Rational]:
-    """a - s*b on sparse vectors, zeros dropped."""
-    out = dict(a)
-    for key, val in b.items():
-        acc = out.get(key, 0) - s * val
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return out
-
-
 def _pivot_inverse(m: SparseMatrix, skip_rows: set[int]) -> tuple[
         dict[tuple[int, int], Rational], set[int]]:
     """Entries of an inverse g of m on its column space, and m's pivot columns.
 
-    Eliminates the rows of m outside ``skip_rows`` with the pivot rule of
-    `rank` (sparsest row first, ties by original index; pivot on its
-    smallest column), keeping the row transform.  Back substitution through
-    the pivot rows then gives g: it sends a vector y to the unique x,
-    supported on the pivot columns, whose image m x agrees with y on the
-    pivot rows.  So g kills every vector that vanishes on the pivot rows,
-    and g m x = x for x on the pivot columns when the kept rows carry the
-    full rank of m.  The loop is `rank`'s, kept apart from it so that
-    `rank` carries no transform; the number of pivot columns is rank m.
+    `_eliminate` reduces the rows of m outside ``skip_rows`` in integers and
+    hands over each pivot row with its integral row transform.  Back
+    substitution through the pivot rows, the one step in Fraction, then
+    gives g: it sends a vector y to the unique x, supported on the pivot
+    columns, whose image m x agrees with y on the pivot rows.  So g kills
+    every vector that vanishes on the pivot rows, and g m x = x for x on the
+    pivot columns when the kept rows carry the full rank of m.  The number
+    of pivot columns is rank m.
     """
-    acc: dict[int, dict[int, Rational]] = {}
-    for (r, c), val in m.entries:
-        if r not in skip_rows:
-            acc.setdefault(r, {})[c] = val
-    rows = [(acc[r], {r: 1}) for r in sorted(acc)]
-    pivots: list[tuple[int, dict[int, Rational], dict[int, Rational]]] = []
-    while rows:
-        piv_idx = min(range(len(rows)), key=lambda i: (len(rows[i][0]), i))
-        pivot, transform = rows.pop(piv_idx)
-        piv_col = min(pivot)
-        piv_val = pivot[piv_col]
-        pivots.append((piv_col, pivot, transform))
-        reduced = []
-        for row, row_transform in rows:
-            if piv_col in row:
-                factor = Fraction(row[piv_col], piv_val)
-                row = _subtract_multiple(row, pivot, factor)
-                if row:
-                    reduced.append((row, _subtract_multiple(
-                        row_transform, transform, factor)))
-            else:
-                reduced.append((row, row_transform))
-        rows = reduced
-    # pivot row i is zero on the pivot columns chosen before it, so the
-    # pivot block is triangular: solve from the last pivot back
-    position = {col: i for i, (col, _, _) in enumerate(pivots)}
-    solved: list[dict[int, Rational]] = [{}] * len(pivots)
-    entries: dict[tuple[int, int], Rational] = {}
-    for i in range(len(pivots) - 1, -1, -1):
-        piv_col, pivot, transform = pivots[i]
-        x = transform
+    pivots = list(_eliminate(m, skip_rows, transforms=True))
+    # a pivot row is zero on the pivot columns chosen before it, so the pivot
+    # block is triangular: solving from the last pivot back, every other
+    # pivot column of a row is solved already
+    solved: dict[int, dict[int, Rational]] = {}
+    for piv_col, pivot, x in reversed(pivots):
         for c, val in pivot.items():
-            if c != piv_col and c in position:
-                x = _subtract_multiple(x, solved[position[c]], val)
-        piv_val = pivot[piv_col]
-        solved[i] = {r: Fraction(val, piv_val) for r, val in x.items()}
-        for r, val in solved[i].items():
-            entries[(piv_col, r)] = val
-    return entries, set(position)
+            if c in solved:
+                x = _combine(x, solved[c], 1, val)
+        solved[piv_col] = {r: Fraction(val, pivot[piv_col]) for r, val in x.items()}
+    entries = {(col, r): val for col, row in solved.items() for r, val in row.items()}
+    return entries, set(solved)
 
 
 @dataclass(frozen=True)
@@ -485,7 +468,7 @@ class ChainContraction:
 
 
 def chain_contraction(c: ChainComplexSlice) -> ChainContraction:
-    """Exact chain contraction of a slice, one elimination per differential.
+    """Exact chain contraction of a slice, one integer elimination per differential.
 
     Degree by degree from the bottom, d_{k+1} is eliminated without the rows
     that are pivot columns of d_k.  Those coordinates span a complement of
@@ -502,11 +485,8 @@ def chain_contraction(c: ChainComplexSlice) -> ChainContraction:
     ranks: dict[int, int] = {}
     lower_pivots: set[int] = set()
     for k in range(lo, hi):
-        rows, cols = len(c.basis[k + 1]), len(c.basis[k])
-        if (k + 1) in c.d:
-            entries, lower_pivots = _pivot_inverse(c.d[k + 1], lower_pivots)
-        else:
-            entries, lower_pivots = {}, set()
-        h[k] = SparseMatrix.from_entries(rows, cols, entries)
+        d = c.d.get(k + 1, SparseMatrix(len(c.basis[k]), len(c.basis[k + 1])))
+        entries, lower_pivots = _pivot_inverse(d, lower_pivots)
+        h[k] = SparseMatrix.from_entries(d.cols, d.rows, entries)
         ranks[k + 1] = len(lower_pivots)
     return ChainContraction(c, h, ranks)

@@ -544,8 +544,17 @@ def _require_ints(values, what: str) -> None:
             raise ValueError(f"{what} must be integers, not {v!r}")
 
 
+def _require_json(value, kind, what: str):
+    """The record part ``value``, refused unless it is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} has the wrong type: {value!r}")
+    return value
+
+
 def graph_from_record(rec: dict) -> Graph:
-    edges = [tuple(e) for e in rec["edges"]]
+    _require_json(rec, dict, "a graph record")
+    edges = [tuple(_require_json(e, list, "an edge"))
+             for e in _require_json(rec["edges"], list, "edges")]
     _require_ints([rec["n"], *(v for e in edges for v in e)], "n and edge vertices")
     return graph(rec["n"], edges)
 
@@ -558,5 +567,7 @@ def lincomb_to_records(x: LinComb) -> list[dict]:
 def lincomb_from_records(recs) -> LinComb:
     out = LinComb.zero()
     for rec in recs:
-        out = out + LinComb.of(graph_from_record(rec["graph"]), rec["coeff"])
+        _require_json(rec, dict, "a term record")
+        coeff = _require_json(rec["coeff"], (int, str), "a coefficient")
+        out = out + LinComb.of(graph_from_record(rec["graph"]), coeff)
     return out

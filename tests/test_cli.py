@@ -132,6 +132,13 @@ def test_convert_route_prints_exact_json(src, dst, payload, expected, tmp_path, 
      {"shape": [2.5], "pairs": [[1, 2]]}),
     (["convert", "--from", "monomial", "--to", "word"],
      {"shape": [2], "pairs": [[0, 1]]}),
+    # records of the wrong shape, not only with the wrong numbers
+    (["diff"], {"n": 2, "edges": [5]}),
+    (["diff"], [{"coeff": 0.5, "graph": G_REC}]),
+    (["coproduct"], [G_REC]),
+    (["product"], {"left": 3, "right": 4}),
+    (["convert", "--from", "monomial", "--to", "word"], {"shape": 2, "pairs": [[1, 2]]}),
+    (["convert", "--from", "diagram", "--to", "graph"], {"shape": 2, "pairs": [[1, 2]]}),
 ])
 def test_malformed_input_is_a_usage_error(argv, payload, tmp_path, capsys):
     path = write_json(tmp_path, "bad.json", payload)
@@ -225,6 +232,19 @@ def test_verify_d2_passes(capsys):
     assert rc == 0
     assert "seed=0" in out.splitlines()[0]
     assert out.strip().endswith("items pass")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "d2", "--vertices", "-1"],
+    ["--suite", "contraction", "--vertices", "0"],
+    ["--suite", "series", "--degree", "-1"],
+])
+def test_verify_refuses_a_negative_bound_or_no_items(argv, capsys):
+    rc = main(["verify"] + argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
 
 
 @pytest.mark.parametrize("suite", SUITES)

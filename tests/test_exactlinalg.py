@@ -10,6 +10,7 @@ from graphhomology.exactlinalg import (
     LinComb,
     NotAComplexError,
     SparseMatrix,
+    _eliminate,
     chain_contraction,
     homology_dims,
     rank,
@@ -42,40 +43,69 @@ def dense_rank_oracle(dense):
     return rk
 
 
-def _fraction_rank(m):
+def _fraction_eliminate(m, skip_rows=()):
     """Sparse Fraction elimination with rank's pivot rule: the reference oracle.
 
-    Among remaining rows pick the sparsest (ties by original index), pivot on
-    its smallest column, clear that column from every other row.
+    Among the rows outside ``skip_rows`` pick the sparsest (ties by original
+    index), pivot on its smallest column, clear that column from every other
+    row, and apply the same moves to the row transforms, which start at the
+    identity.  Yields (pivot column, pivot row, transform) for each pivot.
     """
     acc = {}
     for (r, c), val in m.entries:
-        acc.setdefault(r, {})[c] = Fraction(val)
-    rows = [acc[r] for r in sorted(acc)]
-    rk = 0
+        if r not in skip_rows:
+            acc.setdefault(r, {})[c] = Fraction(val)
+    rows = [(acc[r], {r: Fraction(1)}) for r in sorted(acc)]
     while rows:
-        piv_idx = min(range(len(rows)), key=lambda i: (len(rows[i]), i))
-        pivot = rows.pop(piv_idx)
+        piv_idx = min(range(len(rows)), key=lambda i: (len(rows[i][0]), i))
+        pivot, transform = rows.pop(piv_idx)
         piv_col = min(pivot)
-        piv_val = pivot[piv_col]
-        rk += 1
+        yield piv_col, pivot, transform
         reduced = []
-        for row in rows:
+        for row, row_transform in rows:
             if piv_col in row:
-                factor = row[piv_col] / piv_val
-                new = dict(row)
-                for c, val in pivot.items():
-                    acc2 = new.get(c, Fraction(0)) - factor * val
-                    if acc2:
-                        new[c] = acc2
-                    else:
-                        new.pop(c, None)
-                if new:
-                    reduced.append(new)
+                factor = row[piv_col] / pivot[piv_col]
+                row = _fraction_subtract(row, pivot, factor)
+                if row:
+                    reduced.append(
+                        (row, _fraction_subtract(row_transform, transform, factor)))
             else:
-                reduced.append(row)
+                reduced.append((row, row_transform))
         rows = reduced
-    return rk
+
+
+def _fraction_subtract(a, b, s):
+    """a - s*b on sparse vectors, zeros dropped."""
+    out = dict(a)
+    for key, val in b.items():
+        acc = out.get(key, Fraction(0)) - s * val
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _fraction_rank(m):
+    return sum(1 for _ in _fraction_eliminate(m))
+
+
+def _assert_eliminate_matches_oracle(m, skip_rows):
+    """_eliminate pivots in the oracle's order on integer multiples of its rows.
+
+    With transforms, each (row, transform) pair must be a nonzero multiple of
+    the oracle's pair, so both sides hold row = transform · m.
+    """
+    oracle = list(_fraction_eliminate(m, skip_rows))
+    plain = list(_eliminate(m, skip_rows))
+    carried = list(_eliminate(m, skip_rows, transforms=True))
+    assert [c for c, _, _ in plain] == [c for c, _, _ in oracle]
+    assert [c for c, _, _ in carried] == [c for c, _, _ in oracle]
+    for (c, row, transform), (_, f_row, f_transform) in zip(carried, oracle):
+        assert all(type(val) is int for val in (*row.values(), *transform.values()))
+        scale = row[c] / f_row[c]
+        assert row == {k: scale * val for k, val in f_row.items()}
+        assert transform == {k: scale * val for k, val in f_transform.items()}
 
 
 def _random_sparse(rng, rows, cols, density, entry):
@@ -146,6 +176,8 @@ def test_rank_matches_fraction_rank_on_integer_matrices():
         rows, cols = rng.randint(1, 14), rng.randint(1, 14)
         m = _random_sparse(rng, rows, cols, rng.choice((0.2, 0.4, 0.7)), entry)
         assert rank(m) == _fraction_rank(m) == dense_rank_oracle(m.to_dense()), case
+        _assert_eliminate_matches_oracle(m, ())
+        _assert_eliminate_matches_oracle(m, set(range(0, rows, 3)))
 
 
 def test_rank_matches_fraction_rank_on_fraction_matrices():
@@ -156,6 +188,8 @@ def test_rank_matches_fraction_rank_on_fraction_matrices():
         rows, cols = rng.randint(1, 12), rng.randint(1, 12)
         m = _random_sparse(rng, rows, cols, rng.choice((0.3, 0.6)), entry)
         assert rank(m) == _fraction_rank(m) == dense_rank_oracle(m.to_dense()), case
+        _assert_eliminate_matches_oracle(m, ())
+        _assert_eliminate_matches_oracle(m, set(range(0, rows, 3)))
 
 
 def test_rank_of_mixed_stripe_differentials():
@@ -243,12 +277,13 @@ def _unimodular_pair(rng, n):
     return SparseMatrix.from_dense(u), SparseMatrix.from_dense(u_inv)
 
 
-def _random_complex(rng, boundaries, homology):
+def _random_complex(rng, boundaries, homology, scaled=False):
     """A slice over degrees 0..len-1 with the given dim B_k and dim H_k.
 
     Degree k splits as B_k + H_k + B'_k with d sending B'_k onto B_{k-1} by
     the identity; a random unimodular change of basis in each degree then
-    hides the splitting.
+    hides the splitting.  With ``scaled``, d_k is multiplied by 1/(k + 1), so
+    its rows carry denominators (d∘d = 0 still holds).
     """
     top = len(homology) - 1
     dims = [boundaries[k] + homology[k] + (boundaries[k - 1] if k else 0)
@@ -261,6 +296,10 @@ def _random_complex(rng, boundaries, homology):
             dims[k - 1], dims[k],
             {(j, offset + j): 1 for j in range(boundaries[k - 1])})
         d[k] = change[k - 1][0].compose(std).compose(change[k][1])
+        if scaled:
+            d[k] = SparseMatrix.from_entries(
+                d[k].rows, d[k].cols,
+                {rc: val * Fraction(1, k + 1) for rc, val in d[k].entries})
     return ChainComplexSlice(
         (0, top), {k: tuple(range(dims[k])) for k in range(top + 1)}, d,
         {k: True for k in range(top + 1)})
@@ -272,26 +311,29 @@ def _random_complex(rng, boundaries, homology):
     ((3, 3, 0, 2, 0), (0, 2, 1, 0, 3)),
 ])
 def test_chain_contraction_of_random_complexes(boundaries, homology):
-    rng = random.Random(sum(boundaries) * 31 + sum(homology))
-    cx = _random_complex(rng, boundaries, homology)
-    con = chain_contraction(cx)
-    dims = homology_dims(cx)
-    lo, hi = cx.degrees
-    pi = {k: con.projection(k) for k in range(lo, hi + 1)}
-    for k in range(lo, hi + 1):
-        assert dims[k][0] == homology[k]
-        assert con.homology_dim(k) == homology[k]
-        assert rank(pi[k]) == homology[k]
-        assert pi[k].compose(pi[k]) == pi[k]
-        if k > lo:
-            assert cx.d[k].compose(pi[k]).is_zero()      # π lands on cycles
-        if k < hi:
-            assert pi[k].compose(cx.d[k + 1]).is_zero()  # π kills boundaries
-            assert rank(con.h[k]) == rank(cx.d[k + 1])
-            assert con.h[k].compose(pi[k]).is_zero()
-            assert pi[k + 1].compose(con.h[k]).is_zero()
-        if k + 1 < hi:
-            assert con.h[k + 1].compose(con.h[k]).is_zero()
+    # scaled: the same complex with Fraction entries, which starts each
+    # elimination row from an lcm-scaled transform
+    for scaled in (False, True):
+        rng = random.Random(sum(boundaries) * 31 + sum(homology))
+        cx = _random_complex(rng, boundaries, homology, scaled)
+        con = chain_contraction(cx)
+        dims = homology_dims(cx)
+        lo, hi = cx.degrees
+        pi = {k: con.projection(k) for k in range(lo, hi + 1)}
+        for k in range(lo, hi + 1):
+            assert dims[k][0] == homology[k]
+            assert con.homology_dim(k) == homology[k]
+            assert rank(pi[k]) == homology[k]
+            assert pi[k].compose(pi[k]) == pi[k]
+            if k > lo:
+                assert cx.d[k].compose(pi[k]).is_zero()      # π lands on cycles
+            if k < hi:
+                assert pi[k].compose(cx.d[k + 1]).is_zero()  # π kills boundaries
+                assert rank(con.h[k]) == rank(cx.d[k + 1])
+                assert con.h[k].compose(pi[k]).is_zero()
+                assert pi[k + 1].compose(con.h[k]).is_zero()
+            if k + 1 < hi:
+                assert con.h[k + 1].compose(con.h[k]).is_zero()
 
 
 def test_chain_contraction_of_acyclic_two_term():
