@@ -116,11 +116,12 @@ def _word_payload_to_word(payload) -> symplectic.TensorWord:
 
 
 def _monomial_payload(payload):
-    """The pairs of a monomial record and its shape, empty when absent."""
+    """The pairs of a monomial record and its shape, empty when absent or null."""
     graphs._require_json(payload, dict, "a monomial record")
     pairs = [tuple(graphs._require_json(p, list, "a pair"))
              for p in graphs._require_json(payload["pairs"], list, "pairs")]
-    shape = tuple(graphs._require_json(payload.get("shape") or [], list, "a shape"))
+    shape = payload.get("shape")
+    shape = () if shape is None else tuple(graphs._require_json(shape, list, "a shape"))
     graphs._require_ints([*shape, *(s for p in pairs for s in p)], "shape parts and slots")
     return pairs, shape
 

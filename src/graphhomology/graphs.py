@@ -3,12 +3,15 @@
 A graph on vertices {1..n} stores its edge multiset as sorted pairs (i, j)
 with i < j; the empty graph on zero vertices is the algebra unit.  Orientation
 is never stored: a directed edge list canonicalizes at construction, each flip
-contributing -1 and any loop annihilating the combination.
+contributing -1 and any loop annihilating the combination.  A Graph is an
+immutable value that computes its hash once, when it is built, because graphs
+key every linear combination.
 
 The differential contracts one edge copy at a time.  Contracting {i, j}
 (i < j) merges j into i and shifts labels above j down by one; the term's sign
 is (-1)^j times a re-orientation sign (-1)^f where f counts the other edges
 (a, j) with i < a < j, whose written direction reverses under the merge.
+One pass over the edges builds the contracted graph and counts f.
 Without the re-orientation factor the square of the map is nonzero already on
 the three-vertex path with edges (1, 3), (2, 3), where it is -2 times the
 one-vertex graph; with it, d∘d = 0 holds (exhaustively tested).
@@ -19,10 +22,12 @@ with ordered-partition refinement (McKay & Piperno, "Practical graph
 isomorphism, II", J. Symb. Comput. 2014): a sorted edge tuple is smallest
 exactly when the edge-multiplicity vector (m12, m13, .., m23, ..) is
 largest, so each label is chosen to maximise the next row of that vector,
-and every partial labelling that ties with the best is kept.  Twin vertices
-(equal multiplicities to all others) give transpositions that either
-annihilate the class at once or may be skipped in the search.  The n!
-enumeration it replaces is the test oracle `_lie_orbit_min`.
+and every partial labelling that ties with the best is kept.  Every leaf of
+the search relabels the graph to the same representative, so it is built
+once and each leaf gives only its sign.  Twin vertices (equal multiplicities
+to all others) give transpositions that either annihilate the class at once
+or may be skipped in the search.  The n! enumeration it replaces is the test
+oracle `_lie_orbit_min`.
 
 Bases come from one depth-first walk over nondecreasing sequences of
 vertex pairs (enumerate_graphs), which emits graphs in Graph order, each
@@ -36,6 +41,7 @@ every pair combination that it replaces is the test oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterator
 
 from .exactlinalg import LinComb
@@ -94,15 +100,52 @@ class OrbitTooLargeError(ValueError):
     """
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Graph:
-    """Canonical labelled multigraph: sorted tuple of sorted loopless pairs."""
+    """Canonical labelled multigraph: sorted tuple of sorted loopless pairs.
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    An immutable value ordered and compared by (n, edges), equal only to
+    another Graph.  Its hash is computed once, when it is built, because
+    graphs are the keys of every linear combination.  Pickling and copying
+    rebuild it from (n, edges) through __reduce__.
+    """
+
+    __slots__ = ("n", "edges", "_hash")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
+        # the slot setters bypass __setattr__, which refuses every assignment
+        _set_n(self, n)
+        _set_edges(self, edges)
+        _set_hash(self, hash((n, edges)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Graph is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges)
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {list(map(list, self.edges))})"
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self._hash == other._hash and self.n == other.n and self.edges == other.edges
+
+    def __lt__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return (self.n, self.edges) < (other.n, other.edges)
+
+
+_set_n, _set_edges, _set_hash = (
+    Graph.n.__set__, Graph.edges.__set__, Graph._hash.__set__)
 
 
 def graph(n: int, edges) -> Graph:
@@ -166,24 +209,35 @@ def canonicalize(o: OrientedEdgeList) -> LinComb:
     return LinComb.of(Graph(o.n, edges), sign)
 
 
-def _contract(g: Graph, k: int) -> Graph | None:
-    """g with its k-th edge (i, j) contracted, or None when a loop would appear.
+def _contract(g: Graph, k: int) -> tuple[Graph, int] | None:
+    """(g with its k-th edge (i, j) contracted, f), or None when a loop would appear.
 
-    j merges into i and labels above j shift down by one; a loop appears
-    exactly when another copy of (i, j) remains.
+    j merges into i and labels above j shift down by one.  A loop appears
+    exactly when another copy of (i, j) remains, and in the sorted edge
+    tuple a copy sits next to edge k.  f counts the other edges (a, j) with
+    i < a < j: they become (i, a), the only written directions the merge
+    reverses.
     """
-    i, j = g.edges[k]
+    edges = g.edges
+    edge = edges[k]
+    if edges[max(k - 1, 0):k + 2].count(edge) > 1:
+        return None
+    i, j = edge
+    flips = 0
     new_edges = []
-    for a, b in g.edges[:k] + g.edges[k + 1:]:
-        if a >= j:
-            a = i if a == j else a - 1
-        if b >= j:
-            b = i if b == j else b - 1
-        if a == b:
-            return None
-        new_edges.append((a, b) if a < b else (b, a))
+    for a, b in edges:
+        if b > j:
+            new_edges.append((a if a < j else i if a == j else a - 1, b - 1))
+        elif b < j:
+            new_edges.append((a, b))
+        elif a < i:
+            new_edges.append((a, i))
+        elif a > i:
+            flips += 1
+            new_edges.append((i, a))
+        # else (a, b) is edge k itself, the only copy, and it is dropped
     new_edges.sort()
-    return Graph(g.n - 1, tuple(new_edges))
+    return Graph(g.n - 1, tuple(new_edges)), flips
 
 
 def contract(g: Graph, edge: tuple[int, int]) -> LinComb:
@@ -193,28 +247,19 @@ def contract(g: Graph, edge: tuple[int, int]) -> LinComb:
         k = g.edges.index((i, j))
     except ValueError:
         raise NoSuchEdgeError(f"{edge} not an edge of {g}") from None
-    term = _contract(g, k)
-    return LinComb.zero() if term is None else LinComb.of(term)
-
-
-def _reorientation_sign(g: Graph, i: int, j: int) -> int:
-    """(-1)^f where f counts edges (a, j) with i < a < j.
-
-    The contracted copy (i, j) itself never counts, so g's full edge list
-    gives the same f as the list without it.
-    """
-    flips = sum(1 for a, b in g.edges if b == j and i < a < j)
-    return -1 if flips % 2 else 1
+    contracted = _contract(g, k)
+    return LinComb.zero() if contracted is None else LinComb.of(contracted[0])
 
 
 def differential_graph(g: Graph) -> LinComb:
     """δ on one basis graph: signed sum of single-edge contractions."""
     out: dict[Graph, int] = {}
-    for k, (i, j) in enumerate(g.edges):
-        term = _contract(g, k)
-        if term is None:
+    for k, (_, j) in enumerate(g.edges):
+        contracted = _contract(g, k)
+        if contracted is None:
             continue
-        acc = out.get(term, 0) + (-1) ** j * _reorientation_sign(g, i, j)
+        term, flips = contracted
+        acc = out.get(term, 0) + (-1 if (j + flips) % 2 else 1)
         if acc:
             out[term] = acc
         else:
@@ -347,17 +392,24 @@ def _twin_classes(n: int, m: list[list[int]]) -> list[int] | None:
 
     Twins u, v have m(u, w) = m(v, w) for every other vertex w; the
     transposition (u v) is then an automorphism whose sigma_act sign is
-    -(-1)^m(u, v).  Twinship is transitive, so comparing with the least
-    member of each class finds every class.
+    -(-1)^m(u, v).  Since m(u, u) = m(v, v) = 0, that is: v's row equals
+    u's row with its entries at u and v swapped, one list comparison made
+    only when the degrees agree.  Twinship is transitive, so comparing with
+    the least member of each class finds every class.
     """
+    degree = [sum(row) for row in m]
     twin = list(range(n + 1))
     for u in range(1, n + 1):
         if twin[u] != u:
             continue
+        mu = m[u]
         for v in range(u + 1, n + 1):
-            if twin[v] == v and all(m[u][w] == m[v][w] for w in range(1, n + 1)
-                                    if w != u and w != v):
-                if m[u][v] % 2 == 0:
+            if twin[v] != v or degree[v] != degree[u]:
+                continue
+            swapped = mu.copy()
+            swapped[u], swapped[v] = mu[v], 0
+            if swapped == m[v]:
+                if mu[v] % 2 == 0:
                     return None
                 twin[v] = u
     return twin
@@ -376,8 +428,11 @@ def lie_class(g: Graph) -> LinComb:
     unlabelled vertices, whose cells take the next labels in order.  Labelling
     v from the first cell splits every cell by multiplicity to v, largest
     first, which fixes v's row; only the partial labellings whose row equals
-    the level's best survive.  All survivors share the prefix of the vector,
-    so the search is exact and its leaves are every minimising relabelling.
+    the level's best survive.  A singleton cell, or a cell whose vertices all
+    have one multiplicity to v, passes through whole.  All survivors share
+    the prefix of the vector, so the search is exact and its leaves are
+    every minimising relabelling: they give one representative, built once,
+    and each leaf only its sign, sgn(σ) times (-1)^(#reversed edges).
     Twins (see _twin_classes) with even multiplicity between them annihilate
     the graph at once; with odd multiplicity they give a +1 automorphism that
     fixes the partial labelling, so the search branches on one vertex of
@@ -398,7 +453,7 @@ def lie_class(g: Graph) -> LinComb:
         best_row = None
         survivors = []
         for order, cells in level:
-            first, rest = cells[0], cells[1:]
+            first = cells[0]
             tried = set()
             for v in first:
                 if twin[v] in tried:
@@ -407,28 +462,50 @@ def lie_class(g: Graph) -> LinComb:
                 mv = m[v]
                 row = []
                 split = []
-                for cell in ([w for w in first if w != v], *rest):
-                    groups: dict[int, list[int]] = {}
-                    for w in cell:
-                        groups.setdefault(mv[w], []).append(w)
-                    for mult in sorted(groups, reverse=True):
-                        row.extend([mult] * len(groups[mult]))
-                        split.append(groups[mult])
+                head = [w for w in first if w != v]
+                for cell in cells:
+                    if cell is first:
+                        # the first cell is refined without v
+                        cell = head
+                        if not cell:
+                            continue
+                    if len(cell) == 1:
+                        row.append(mv[cell[0]])
+                        split.append(cell)
+                        continue
+                    mults = [mv[w] for w in cell]
+                    if mults.count(mults[0]) == len(mults):
+                        row.extend(mults)
+                        split.append(cell)
+                        continue
+                    # a stable sort keeps each group in cell order
+                    last = None
+                    for w in sorted(cell, key=mv.__getitem__, reverse=True):
+                        mult = mv[w]
+                        if mult != last:
+                            last, group = mult, []
+                            split.append(group)
+                        group.append(w)
+                        row.append(mult)
                 if best_row is None or row > best_row:
                     best_row, survivors = row, []
                 if row == best_row:
                     survivors.append((order + (v,), split))
         level = survivors
-    classes = set()
+    signs = set()
     for order, _ in level:
-        perm = [0] * g.n
-        for label, v in enumerate(order, 1):
-            perm[v - 1] = label
-        classes.add(sigma_act(perm, g))
-    if len(classes) == 2:
+        label = [0] * (g.n + 1)
+        for k, v in enumerate(order, 1):
+            label[v] = k
+        sign = perm_sign(label[1:])
+        reversed_edges = sum(label[a] > label[b] for a, b in g.edges)
+        signs.add(-sign if reversed_edges % 2 else sign)
+    if len(signs) == 2:
         return LinComb.zero()
-    [(rep, sign)] = classes.pop().items()
-    return LinComb.of(GraphClass(rep), sign)
+    # every leaf relabels g to the orbit minimum, so the last one gives it
+    pairs = [(label[a], label[b]) for a, b in g.edges]
+    rep = Graph(g.n, tuple(sorted([(a, b) if a < b else (b, a) for a, b in pairs])))
+    return LinComb.of(GraphClass(rep), signs.pop())
 
 
 def lie_differential(x: LinComb) -> LinComb:
@@ -545,8 +622,12 @@ def _require_ints(values, what: str) -> None:
 
 
 def _require_json(value, kind, what: str):
-    """The record part ``value``, refused unless it is an instance of ``kind``."""
-    if not isinstance(value, kind):
+    """The record part ``value``, refused unless it is an instance of ``kind``.
+
+    A bool is refused too, though Python counts it as an int: JSON true and
+    false are never a coefficient or any other part of a record.
+    """
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{what} has the wrong type: {value!r}")
     return value
 

@@ -139,6 +139,12 @@ def test_convert_route_prints_exact_json(src, dst, payload, expected, tmp_path, 
     (["product"], {"left": 3, "right": 4}),
     (["convert", "--from", "monomial", "--to", "word"], {"shape": 2, "pairs": [[1, 2]]}),
     (["convert", "--from", "diagram", "--to", "graph"], {"shape": 2, "pairs": [[1, 2]]}),
+    # a JSON true is not a coefficient, and a falsy shape is not an absent one
+    (["diff"], [{"coeff": True, "graph": {"n": 2, "edges": [[1, 2]]}}]),
+    (["convert", "--from", "monomial", "--to", "diagram"], {"shape": 0, "pairs": [[1, 2]]}),
+    (["convert", "--from", "monomial", "--to", "diagram"],
+     {"shape": False, "pairs": [[1, 2]]}),
+    (["convert", "--from", "monomial", "--to", "diagram"], {"shape": "", "pairs": [[1, 2]]}),
 ])
 def test_malformed_input_is_a_usage_error(argv, payload, tmp_path, capsys):
     path = write_json(tmp_path, "bad.json", payload)

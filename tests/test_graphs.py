@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -18,6 +20,7 @@ from graphhomology.graphs import (
     connected_components,
     contract,
     differential,
+    differential_graph,
     disjoint_union,
     enumerate_graphs,
     graph,
@@ -30,6 +33,7 @@ from graphhomology.graphs import (
     sigma_act,
     valences,
 )
+from graphhomology.homotopy import stripe
 
 G_EX = graph(3, [(1, 2), (1, 2), (1, 3), (2, 3)])
 TRIPLE = graph(2, [(1, 2), (1, 2), (1, 2)])
@@ -117,6 +121,34 @@ def test_enumerate_graphs_matches_filtered_reference():
                         == expected, (n, max_e, min_valence, connected_only)
 
 
+def test_graph_is_an_immutable_value():
+    for g in (G_EX, UNIT):
+        for back in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+            assert type(back) is Graph and back == g and hash(back) == hash(g)
+            assert repr(back) == repr(g)
+    with pytest.raises(AttributeError):
+        G_EX.n = 3
+    assert G_EX.n == 3
+    gs = [g for n in range(0, 5) for g in enumerate_graphs(n, 4)]
+    # distinct objects with fresh edge tuples, compared by value
+    copies = [Graph(g.n, tuple(list(g.edges))) for g in gs]
+    for a in gs:
+        for b in copies:
+            same = (a.n, a.edges) == (b.n, b.edges)
+            assert (a == b) is same and (a != b) is not same
+            if same:
+                assert hash(a) == hash(b)
+    shuffled = copies[::-1]
+    random.Random(7).shuffle(shuffled)
+    assert sorted(shuffled) == sorted(gs, key=lambda g: (g.n, g.edges)) == gs
+    for other in (graphs.GraphClass(G_EX), (G_EX.n, G_EX.edges)):
+        assert G_EX != other and not (G_EX == other)
+        with pytest.raises(TypeError):
+            G_EX < other
+        with pytest.raises(TypeError):
+            other < G_EX
+
+
 def test_canonicalize_single_flip():
     assert canonicalize(OrientedEdgeList(2, ((2, 1),))) == \
         LinComb.of(graph(2, [(1, 2)]), -1)
@@ -178,6 +210,20 @@ def test_differential_frozen_values():
     # triangle contracts to the double edge with total +1
     assert differential(LinComb.of(graph(3, [(1, 2), (1, 3), (2, 3)]))) == \
         LinComb.of(DOUBLE)
+
+
+def test_differential_sign_matches_reorientation_oracle():
+    # each copy k of (i, j) contributes (-1)^j (-1)^f contract(g, (i, j)),
+    # f counting the edges (a, j) with i < a < j
+    gs = [g for n in range(0, 6) for g in enumerate_graphs(n, 6)]
+    mixed = stripe("mixed", 2, 5).basis[5]
+    assert len(mixed) == 1900
+    for g in [*gs, *mixed]:
+        expected = LinComb.zero()
+        for i, j in g.edges:
+            flips = sum(1 for a, b in g.edges if b == j and i < a < j)
+            expected = expected + contract(g, (i, j)).scale((-1) ** (j + flips))
+        assert differential_graph(g) == expected, g
 
 
 def test_differential_squares_to_zero_small():
@@ -320,6 +366,33 @@ def _symmetric_families(n):
         out["disjoint triangles"] = graph(
             n, [e for k in range(1, n, 3) for e in ((k, k + 1), (k, k + 2), (k + 1, k + 2))])
     return out
+
+
+def _twin_classes_oracle(n, m):
+    """Least twin of each vertex by comparing multiplicities to every other vertex."""
+    twin = list(range(n + 1))
+    for u in range(1, n + 1):
+        if twin[u] != u:
+            continue
+        for v in range(u + 1, n + 1):
+            if twin[v] == v and all(m[u][w] == m[v][w] for w in range(1, n + 1)
+                                    if w != u and w != v):
+                if m[u][v] % 2 == 0:
+                    return None
+                twin[v] = u
+    return twin
+
+
+def test_twin_classes_match_oracle():
+    gs = [g for n in range(0, 6) for g in enumerate_graphs(n, 6)]
+    gs += [g for n in range(1, 13) for g in _symmetric_families(n).values()]
+    outcomes = set()
+    for g in gs:
+        m = graphs._multiplicities(g)
+        twin = graphs._twin_classes(g.n, m)
+        assert twin == _twin_classes_oracle(g.n, m), g
+        outcomes.add(twin is None)
+    assert outcomes == {True, False}
 
 
 def test_lie_class_matches_orbit_min_on_all_small_graphs():

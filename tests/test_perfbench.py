@@ -3,7 +3,9 @@
 `perfbench/run.py` re-imports `graphhomology` at every set-up, so it runs in
 a child process; its BENCH_DIR points at a temporary copy of the reference
 data, so the trace file of `--trace 1` lands there.  The traced mode is the
-one that calls every piece of the program that the benchmark names.
+one that calls every piece of the program that the benchmark names.  Each
+workload checks every item against the hashes in reference.json: lie-orbit
+checks `lie_class`'s representative and sign for every graph it relabels.
 """
 
 import json
@@ -11,6 +13,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -20,14 +24,16 @@ from pathlib import Path
 sys.path.insert(0, {perfbench!r})
 import run
 run.BENCH_DIR = Path({bench_dir!r})
-sys.exit(run.main(["--workload", "bridge-square", "--seed", "3",
+sys.exit(run.main(["--workload", {workload!r}, "--seed", "3",
                    "--seconds", "0", "--trace", "1"]))
 """
 
 
-def test_bridge_square_traced_run_has_no_failed_items(tmp_path):
+@pytest.mark.parametrize("workload", ["bridge-square", "lie-orbit"])
+def test_traced_run_has_no_failed_items(workload, tmp_path):
     shutil.copy(PERFBENCH / "reference.json", tmp_path / "reference.json")
-    code = CHILD.format(perfbench=str(PERFBENCH), bench_dir=str(tmp_path))
+    code = CHILD.format(perfbench=str(PERFBENCH), bench_dir=str(tmp_path),
+                        workload=workload)
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
