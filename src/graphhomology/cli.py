@@ -145,23 +145,23 @@ def _cmd_convert(config: RunConfig):
         out = []
         for d, c in sorted(diagrams.pair_monomial(pairs).items(), key=lambda kv: kv[0]):
             if shape:
-                for pd, c2 in diagrams.package(d, shape).items():
+                for g, c2 in diagrams.package(d, shape).items():
                     out.append({"coeff": str(c * c2),
-                                "diagram": diagrams.diagram_to_record(pd)})
+                                "diagram": diagrams.diagram_to_record(g)})
             else:
                 out.append({"coeff": str(c),
                             "diagram": {"shape": None,
                                         "pairs": [list(p) for p in d.pairs]}})
     elif route == ("diagram", "graph"):
-        packaged = diagrams.diagram_from_record(payload)
-        out = graphs.lincomb_to_records(packaged.map_keys(diagrams.varphi))
+        out = graphs.lincomb_to_records(diagrams.diagram_from_record(payload))
     elif route == ("diagram", "monomial"):
         packaged = diagrams.diagram_from_record(payload)
-        out = [{"coeff": str(c), "monomial": {"pairs": [list(p) for p in pd.pairs]}}
-               for pd, c in packaged.items()]
+        out = [{"coeff": str(c),
+                "monomial": {"pairs": [list(p) for p in diagrams.varphi_inverse(g).pairs]}}
+               for g, c in packaged.items()]
     elif route == ("graph", "diagram"):
         g = graphs.graph_from_record(payload)
-        out = diagrams.diagram_to_record(diagrams.varphi_inverse(g))
+        out = diagrams.diagram_to_record(g)
     elif route == ("monomial", "word"):
         pairs, shape = _monomial_payload(payload)
         if not shape:

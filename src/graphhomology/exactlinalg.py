@@ -73,12 +73,20 @@ class LinComb:
         self._terms = clean
 
     @classmethod
+    def _adopt(cls, terms: dict) -> "LinComb":
+        """Wrap a dict of nonzero exact coefficients as is, without copying."""
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
+
+    @classmethod
     def zero(cls) -> "LinComb":
         return cls()
 
     @classmethod
     def of(cls, key: Hashable, coeff=1) -> "LinComb":
-        return cls({key: rational(coeff)})
+        coeff = rational(coeff)
+        return cls._adopt({key: coeff} if coeff else {})
 
     def items(self) -> Iterator[tuple[Hashable, Rational]]:
         return iter(self._terms.items())
@@ -112,14 +120,10 @@ class LinComb:
                 out[key] = acc
             else:
                 out.pop(key, None)
-        result = LinComb.__new__(LinComb)
-        result._terms = out
-        return result
+        return LinComb._adopt(out)
 
     def __neg__(self) -> "LinComb":
-        result = LinComb.__new__(LinComb)
-        result._terms = {k: -v for k, v in self._terms.items()}
-        return result
+        return LinComb._adopt({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
@@ -128,9 +132,7 @@ class LinComb:
         s = rational(s)
         if not s:
             return LinComb.zero()
-        result = LinComb.__new__(LinComb)
-        result._terms = {k: v * s for k, v in self._terms.items()}
-        return result
+        return LinComb._adopt({k: v * s for k, v in self._terms.items()})
 
     def mapped(self, f: Callable[[Hashable], "LinComb"]) -> "LinComb":
         """Linear extension of a basis map f: key -> LinComb."""
@@ -142,9 +144,7 @@ class LinComb:
                     out[new] = acc
                 else:
                     out.pop(new, None)
-        result = LinComb.__new__(LinComb)
-        result._terms = out
-        return result
+        return LinComb._adopt(out)
 
     def map_keys(self, f: Callable[[Hashable], Hashable]) -> "LinComb":
         """Linear extension of an injective-on-support basis relabelling."""
@@ -156,9 +156,7 @@ class LinComb:
                 out[new] = acc
             else:
                 out.pop(new, None)
-        result = LinComb.__new__(LinComb)
-        result._terms = out
-        return result
+        return LinComb._adopt(out)
 
     def __repr__(self) -> str:
         if not self._terms:

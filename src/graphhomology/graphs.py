@@ -264,7 +264,7 @@ def differential_graph(g: Graph) -> LinComb:
             out[term] = acc
         else:
             del out[term]
-    return LinComb(out)
+    return LinComb._adopt(out)
 
 
 def differential(x: LinComb) -> LinComb:

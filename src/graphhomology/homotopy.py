@@ -28,14 +28,12 @@ from .graphs import (
     _is_connected,
     _walk_graphs,
     differential_graph,
-    graph,
     valences,
 )
 
 __all__ = [
     "Classification",
     "classify",
-    "labelled_polygons",
     "polygon_complex",
     "stripe",
     "slice_from_bases",
@@ -90,22 +88,6 @@ def slice_from_bases(bases: dict[int, list[Graph]], diff=differential_graph,
                              d, completeness)
 
 
-def labelled_polygons(n: int) -> list[Graph]:
-    """All distinct labelled cycles on {1..n}: (n-1)!/2 of them for n >= 3."""
-    if n < 2:
-        return []
-    if n == 2:
-        return [graph(2, [(1, 2), (1, 2)])]
-    seen = set()
-    for perm in itertools.permutations(range(2, n + 1)):
-        cycle = (1,) + perm
-        edges = tuple(sorted(
-            (min(cycle[k], cycle[(k + 1) % n]), max(cycle[k], cycle[(k + 1) % n]))
-            for k in range(n)))
-        seen.add(edges)
-    return [Graph(n, e) for e in sorted(seen)]
-
-
 def polygon_complex(max_n: int) -> ChainComplexSlice:
     """Labelled polygons (connected, all bivalent) up to max_n vertices.
 
@@ -123,7 +105,10 @@ def polygon_complex(max_n: int) -> ChainComplexSlice:
 # and 12.4 M min-valence-2 graphs at n = 7
 _MAX_DEGREE_BASIS = 150_000
 
-_STRIPE_KINDS = {"polygon": Classification.POLYGON, "core": Classification.CORE,
+# the kind each stripe keeps, or None to keep the whole walk: the core walk
+# already yields only connected graphs of minimum valence three, which
+# `classify` names core, so filtering it again would change nothing
+_STRIPE_KINDS = {"polygon": Classification.POLYGON, "core": None,
                  "mixed": Classification.MIXED, "all": None}
 
 

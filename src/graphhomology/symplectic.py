@@ -10,6 +10,11 @@ form evaluated in position order.  A couple whose q precedes its p therefore
 contributes -1; these re-orientation signs are exactly the ones the graph
 differential carries, which makes the word-to-graph square commute.  The
 keys of ``tstar`` are standard pair monomials, which are `ChordDiagram`s.
+
+`word_to_graphs` packages each monomial by the word's factor degrees, and a
+packaged class is held as its graph, so the bridge lands in the graph
+complex directly.  `graph_to_word` is a section of it: `split_S` of the
+graph's canonical pairing, cut by its valences.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ import re
 from dataclasses import dataclass
 
 from .exactlinalg import LinComb
-from .diagrams import ChordDiagram, package, varphi, varphi_inverse
-from .graphs import Graph
+from .diagrams import BadShapeError, ChordDiagram, package, varphi_inverse
+from .graphs import Graph, valences
 
 __all__ = [
     "Generator",
@@ -43,8 +48,6 @@ __all__ = [
     "matrix_sum_product",
     "BadShapeError",
 ]
-
-from .diagrams import BadShapeError
 
 
 @dataclass(frozen=True, order=True)
@@ -218,7 +221,7 @@ def tstar(w: TensorWord) -> LinComb:
             rec(unpaired[1:k] + unpaired[k + 1:], acc_pairs + [(a, b)], acc_coeff * w_ab)
 
     rec(tuple(range(1, len(letters) + 1)), [], 1)
-    return LinComb(out)
+    return LinComb._adopt(out)
 
 
 def split_S(pairs, shape) -> TensorWord:
@@ -263,21 +266,23 @@ def _word_to_graphs_single(w: TensorWord) -> LinComb:
     shape = w.degree_shape()
     if any(k < 2 for k in shape):
         raise ValueError(f"factor degrees {shape} must all be >= 2")
-    packaged = tstar(w).mapped(lambda d: package(d, shape))
-    return packaged.map_keys(varphi)
+    return tstar(w).mapped(lambda d: package(d, shape))
 
 
 def word_to_graphs(x: LinComb | TensorWord) -> LinComb:
-    """The composite word -> monomials (= chord diagrams) -> packaged diagrams -> graphs."""
+    """The composite word -> monomials (= chord diagrams) -> packaged classes.
+
+    A packaged class is held as its graph, so `package` ends the bridge.
+    """
     if isinstance(x, TensorWord):
         x = LinComb.of(x)
     return x.mapped(_word_to_graphs_single)
 
 
 def graph_to_word(g: Graph) -> TensorWord:
-    """A section of word_to_graphs: lift through the slot-assignment diagram."""
-    pd = varphi_inverse(g)
-    return split_S(pd.pairs, pd.shape)
+    """A section of word_to_graphs: `split_S` of g's canonical pairing, cut by
+    its valences."""
+    return split_S(varphi_inverse(g).pairs, valences(g))
 
 
 def _relabel_word(w: TensorWord, index_map) -> TensorWord:

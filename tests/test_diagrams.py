@@ -9,20 +9,23 @@ from graphhomology.diagrams import (
     BadShapeError,
     ChordDiagram,
     LowValenceError,
-    PackagedDiagram,
     all_pairings,
     chord_diagram,
-    diagram_differential,
     diagram_from_record,
     diagram_to_record,
     package,
     pair_monomial,
     phi,
     sigma_act_diagram,
-    varphi,
     varphi_inverse,
 )
-from graphhomology.graphs import differential, enumerate_graphs, graph, valences
+from graphhomology.graphs import (
+    differential,
+    differential_graph,
+    enumerate_graphs,
+    graph,
+    valences,
+)
 from graphhomology.symplectic import random_split_word, tstar
 
 D_EX = chord_diagram([(1, 4), (2, 7), (3, 5), (6, 8)])
@@ -47,16 +50,16 @@ def compositions(total, min_part=2):
 
 
 def packaged_classes(m):
-    """Every nonzero packaged class with m chords, deduplicated."""
+    """Every nonzero packaged class with m chords, deduplicated, as graphs."""
     seen = set()
     for shape in compositions(2 * m):
         for d in all_pairings(m):
             cls = package(d, shape)
             if cls.is_zero():
                 continue
-            [(pd, c)] = list(cls.items())
+            [(g, c)] = list(cls.items())
             assert c == 1
-            seen.add(pd)
+            seen.add(g)
     return sorted(seen)
 
 
@@ -66,6 +69,58 @@ def package_blocks(shape):
         blocks.append(tuple(range(start, start + size)))
         start += size
     return blocks
+
+
+def package_owner(shape):
+    """owner[s] is the 1-indexed package of slot s; owner[0] is unused."""
+    return [0] + [k for k, block in enumerate(package_blocks(shape), start=1)
+                  for _ in block]
+
+
+def packaged(g):
+    """The packaged class a graph holds, as (shape, canonical pairs)."""
+    return tuple(valences(g)), varphi_inverse(g).pairs
+
+
+def chord_differential(shape, pairs):
+    """The paper's ∂ on a packaged class, chord by chord; terms as graphs.
+
+    Contracting a cross-package chord deletes its endpoints and merges the
+    higher package's remaining slots into the lower one (at the lower
+    position, slot order preserved); a surviving chord inside the merged
+    package kills the term.  The sign is (-1)^(package of the larger
+    endpoint), times -1 for each other chord ending in that package whose
+    far end sits strictly between the two merged packages.
+    """
+    owner = package_owner(shape)
+    blocks = package_blocks(shape)
+    out = LinComb.zero()
+    for a, b in pairs:
+        pa, pb = owner[a], owner[b]
+        merged = [s for s in blocks[pa - 1] if s != a] + [s for s in blocks[pb - 1] if s != b]
+        order = []
+        for k, block in enumerate(blocks, start=1):
+            if k == pa:
+                order.extend(merged)
+            elif k != pb:
+                order.extend(block)
+        relabel = {old: new for new, old in enumerate(order, start=1)}
+        new_shape = list(shape)
+        new_shape[pa - 1] += shape[pb - 1] - 2
+        del new_shape[pb - 1]
+        new_owner = package_owner(new_shape)
+        rest = [(x, y) for x, y in pairs if (x, y) != (a, b)]
+        edges = [(new_owner[relabel[x]], new_owner[relabel[y]]) for x, y in rest]
+        if any(i == j for i, j in edges):
+            continue
+        flips = sum(1 for x, y in rest if owner[y] == pb and pa < owner[x] < pb)
+        out = out + LinComb.of(graph(len(new_shape), edges), (-1) ** (pb + flips))
+    return out
+
+
+def chord_differential_squared(shape, pairs):
+    return chord_differential(shape, pairs).mapped(
+        lambda g: chord_differential(*packaged(g)))
 
 
 def relabelled(pairs, relabel):
@@ -87,8 +142,9 @@ def _orbit_min(shape, pairs):
 
 
 def assert_package_is_orbit_min(pairs, shape):
-    expected = LinComb.of(PackagedDiagram(tuple(shape), _orbit_min(shape, pairs)))
-    assert package(chord_diagram(pairs), shape) == expected, (shape, pairs)
+    [(g, coeff)] = package(chord_diagram(pairs), shape).items()
+    assert coeff == 1
+    assert packaged(g) == (tuple(shape), _orbit_min(shape, pairs)), (shape, pairs)
 
 
 def test_pair_monomial_normalization():
@@ -144,8 +200,8 @@ def test_sigma_equivariance_with_phi():
 def test_package_zero_and_worked():
     assert package(chord_diagram([(1, 2)]), (2,)).is_zero()
     cls = package(D_EX, (3, 3, 2))
-    assert cls == LinComb.of(
-        PackagedDiagram((3, 3, 2), ((1, 4), (2, 5), (3, 7), (6, 8))))
+    assert cls == LinComb.of(G_EX)
+    assert packaged(G_EX) == ((3, 3, 2), ((1, 4), (2, 5), (3, 7), (6, 8)))
     with pytest.raises(BadShapeError):
         package(D_EX, (3, 3))
     with pytest.raises(BadShapeError):
@@ -171,54 +227,51 @@ def test_package_orbit_independence():
 
 
 def test_diagram_differential_worked_value():
-    cls = package(D_EX, (3, 3, 2))
+    [(g, _)] = package(D_EX, (3, 3, 2)).items()
     # the two surviving contractions cancel, mirroring the graph side
-    assert diagram_differential(cls).is_zero()
-    assert differential(LinComb.of(varphi(list(cls.keys())[0]))).is_zero()
+    assert chord_differential(*packaged(g)).is_zero()
+    assert differential(LinComb.of(g)).is_zero()
 
 
 def test_diagram_differential_all_contractions_die():
     # every contraction of the nested diagram leaves an in-package chord
-    d = chord_diagram([(1, 3), (2, 4)])
-    cls = package(d, (2, 2))
-    term = diagram_differential(cls)
-    assert term.is_zero()
+    assert chord_differential((2, 2), ((1, 3), (2, 4))).is_zero()
 
 
 def test_diagram_differential_square_and_intertwining():
     for m in range(1, 4):
-        for pd in packaged_classes(m):
-            cls = LinComb.of(pd)
-            assert diagram_differential(diagram_differential(cls)).is_zero()
-            lhs = diagram_differential(cls).map_keys(varphi)
-            rhs = differential(LinComb.of(varphi(pd)))
-            assert lhs == rhs, pd
+        for g in packaged_classes(m):
+            assert chord_differential_squared(*packaged(g)).is_zero(), g
+            assert chord_differential(*packaged(g)) == differential_graph(g), g
 
 
 def test_varphi_worked_examples():
-    pd = PackagedDiagram((3, 3, 2), ((1, 4), (2, 5), (3, 7), (6, 8)))
-    assert varphi(pd) == G_EX
-    pd2 = PackagedDiagram((2, 2), ((1, 3), (2, 4)))
-    assert varphi(pd2) == graph(2, [(1, 2), (1, 2)])
+    # φ̄ is `package`: each package becomes a vertex and each chord an edge
+    assert package(chord_diagram([(1, 4), (2, 5), (3, 7), (6, 8)]), (3, 3, 2)) == \
+        LinComb.of(G_EX)
+    assert package(chord_diagram([(1, 3), (2, 4)]), (2, 2)) == \
+        LinComb.of(graph(2, [(1, 2), (1, 2)]))
 
 
 def test_varphi_inverse_worked_examples():
-    assert varphi_inverse(G_EX) == \
-        PackagedDiagram((3, 3, 2), ((1, 4), (2, 5), (3, 7), (6, 8)))
-    assert varphi_inverse(graph(2, [(1, 2), (1, 2)])) == \
-        PackagedDiagram((2, 2), ((1, 3), (2, 4)))
+    assert varphi_inverse(G_EX) == ChordDiagram(((1, 4), (2, 5), (3, 7), (6, 8)))
+    assert varphi_inverse(graph(2, [(1, 2), (1, 2)])) == ChordDiagram(((1, 3), (2, 4)))
     with pytest.raises(LowValenceError):
         varphi_inverse(graph(2, [(1, 2)]))
 
 
 def test_varphi_round_trips():
-    from graphhomology.graphs import enumerate_graphs
     for n in range(1, 5):
         for g in enumerate_graphs(n, 6, min_valence=2):
-            assert varphi(varphi_inverse(g)) == g
+            shape, pairs = packaged(g)
+            assert package(ChordDiagram(pairs), shape) == LinComb.of(g)
     for m in range(1, 4):
-        for pd in packaged_classes(m):
-            assert varphi_inverse(varphi(pd)) == pd
+        for shape in compositions(2 * m):
+            for d in all_pairings(m):
+                cls = package(d, shape)
+                for g, _ in cls.items():
+                    assert packaged(g)[0] == shape
+                    assert package(varphi_inverse(g), shape) == cls
 
 
 def test_oriented_pairs_sign():
@@ -228,10 +281,11 @@ def test_oriented_pairs_sign():
 
 
 def test_diagram_records():
-    pd = varphi_inverse(G_EX)
-    rec = diagram_to_record(pd)
+    rec = diagram_to_record(G_EX)
     assert rec == {"shape": [3, 3, 2], "pairs": [[1, 4], [2, 5], [3, 7], [6, 8]]}
-    assert diagram_from_record(rec) == LinComb.of(pd)
+    assert diagram_from_record(rec) == LinComb.of(G_EX)
+    with pytest.raises(LowValenceError):
+        diagram_to_record(graph(2, [(1, 2)]))
 
 
 def test_package_matches_orbit_min_on_all_small_classes():
@@ -259,16 +313,16 @@ def test_package_matches_orbit_min_on_scrambled_graph_diagrams():
             shape = tuple(valences(g))
             if math.prod(math.factorial(k) for k in shape) > 2000:
                 continue
-            pd = varphi_inverse(g)
+            pairs = varphi_inverse(g).pairs
             for _ in range(2):
                 relabel = {}
                 for block in package_blocks(shape):
                     perm = list(block)
                     rng.shuffle(perm)
                     relabel.update(zip(block, perm))
-                scrambled = relabelled(pd.pairs, relabel)
+                scrambled = relabelled(pairs, relabel)
                 assert_package_is_orbit_min(scrambled, shape)
-                assert package(chord_diagram(scrambled), shape) == LinComb.of(pd)
+                assert package(chord_diagram(scrambled), shape) == LinComb.of(g)
                 cases += 1
     assert cases == 1150
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from graphhomology.exactlinalg import LinComb, chain_contraction, homology_dims
@@ -11,7 +13,6 @@ from graphhomology.graphs import (
 from graphhomology.homotopy import (
     Classification,
     classify,
-    labelled_polygons,
     polygon_complex,
     stripe,
 )
@@ -19,6 +20,23 @@ from graphhomology.homotopy import (
 G_EX = graph(3, [(1, 2), (1, 2), (1, 3), (2, 3)])
 THETA = graph(2, [(1, 2), (1, 2), (1, 2)])
 TRIANGLE = graph(3, [(1, 2), (1, 3), (2, 3)])
+
+
+def labelled_polygons(n):
+    """All distinct labelled cycles on {1..n}, one per cyclic order of
+    2..n after 1: (n-1)!/2 of them for n >= 3."""
+    if n < 2:
+        return []
+    if n == 2:
+        return [graph(2, [(1, 2), (1, 2)])]
+    seen = set()
+    for perm in itertools.permutations(range(2, n + 1)):
+        cycle = (1,) + perm
+        edges = tuple(sorted(
+            (min(cycle[k], cycle[(k + 1) % n]), max(cycle[k], cycle[(k + 1) % n]))
+            for k in range(n)))
+        seen.add(edges)
+    return [Graph(n, e) for e in sorted(seen)]
 
 
 def test_classify_examples():
