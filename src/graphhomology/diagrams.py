@@ -48,6 +48,17 @@ class LowValenceError(ValueError):
     pass
 
 
+def _shape_parts(shape) -> tuple[int, ...]:
+    """A shape as a tuple of its parts, refused unless every part is an int.
+
+    A bool or a float part is refused too, not truncated to an int.
+    """
+    shape = tuple(shape)
+    if any(type(k) is not int for k in shape):
+        raise BadShapeError(f"shape parts must be integers, got {shape}")
+    return shape
+
+
 @dataclass(frozen=True, order=True)
 class ChordDiagram:
     """Perfect pairing of {1..2m}: sorted (min, max) pairs sorted by first slot.
@@ -116,13 +127,13 @@ def sigma_act_diagram(perm, d: ChordDiagram) -> LinComb:
 def package(d: ChordDiagram, shape) -> LinComb:
     """The packaged class of a diagram under a package shape, as its graph.
 
-    Shape parts must be >= 2 and sum to 2m.  Each package becomes a vertex
+    Shape parts must be ints >= 2 and sum to 2m.  Each package becomes a vertex
     and each chord the edge between its endpoints' packages; a chord with
     both endpoints in one package annihilates the class.  Packages are
     increasing slot blocks, so a chord (a, b), a < b, joins packages in
     that order and its pair is already an edge (i, j), i < j.
     """
-    shape = tuple(int(k) for k in shape)
+    shape = _shape_parts(shape)
     if any(k < 2 for k in shape) or sum(shape) != 2 * d.m:
         raise BadShapeError(f"shape {shape} incompatible with {2 * d.m} slots")
     owner = [0]

@@ -2,7 +2,12 @@
 
 Tensor words are ordered tuples of commutative monomials; a monomial is the
 sorted tuple of its generators with multiplicity, and a polynomial is a
-`LinComb` of monomials with int or Fraction coefficients.  The pairing
+`LinComb` of monomials with int or Fraction coefficients.  The Poisson
+bracket of two monomials is taken in closed form: {a, b} sums, over the
+distinct p_i of a, c_a(p_i)·c_b(q_i) times the product of a less one p_i
+and b less one q_i, and subtracts the same with a and b swapped, where
+c_x(g) is the multiplicity of g in x.  `poisson_bracket` and
+`leibniz_differential` are its linear extensions.  The pairing
 evaluation ``tstar`` flattens a word (factor by factor, each factor in
 canonical generator order) and sums over all perfect matchings whose pairs
 are conjugate couples (p_k with q_k), weighting each pair by the symplectic
@@ -22,8 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .exactlinalg import LinComb
-from .diagrams import BadShapeError, ChordDiagram, package, varphi_inverse
+from .exactlinalg import LinComb, Rational
+from .diagrams import BadShapeError, ChordDiagram, _shape_parts, package, varphi_inverse
 from .graphs import Graph, valences
 
 __all__ = [
@@ -102,29 +107,42 @@ def poly(text: str, coeff=1) -> LinComb:
     return LinComb.of(_parse_monomial(text), coeff)
 
 
-def _product(f: LinComb, g: LinComb) -> LinComb:
-    return f.mapped(lambda a: g.map_keys(lambda b: monomial(a + b)))
+def _runs(mono: Monomial, kind: str) -> dict[int, tuple[int, int]]:
+    """index -> (first position, multiplicity) of mono's generators of one kind."""
+    runs: dict[int, tuple[int, int]] = {}
+    for pos, g in enumerate(mono):
+        if g.kind == kind:
+            first, mult = runs.get(g.index, (pos, 0))
+            runs[g.index] = (first, mult + 1)
+    return runs
 
 
-def _partial(f: LinComb, g: Generator) -> LinComb:
-    """∂f/∂g: each monomial loses one g and gains its multiplicity as a factor."""
-    def lower(mono: Monomial) -> LinComb:
-        if g not in mono:
-            return LinComb.zero()
-        k = mono.index(g)
-        return LinComb.of(mono[:k] + mono[k + 1:], mono.count(g))
-    return f.mapped(lower)
+def _bracket_monomials(a: Monomial, b: Monomial) -> dict[Monomial, int]:
+    """{a, b} of two monomials in closed form, as {monomial: nonzero int}."""
+    out: dict[Monomial, int] = {}
+    for sign, f, g in ((1, a, b), (-1, b, a)):
+        qs = _runs(g, "q")
+        for i, (k, c) in _runs(f, "p").items():
+            if i in qs:
+                l, d = qs[i]
+                key = monomial(f[:k] + f[k + 1:] + g[:l] + g[l + 1:])
+                out[key] = out.get(key, 0) + sign * c * d
+    return {key: c for key, c in out.items() if c}
 
 
 def poisson_bracket(f: LinComb, g: LinComb) -> LinComb:
-    """{f, g} = sum_i df/dp_i dg/dq_i - dg/dp_i df/dq_i, exact."""
-    indices = {gn.index for x in (f, g) for mono in x.keys() for gn in mono}
-    out = LinComb.zero()
-    for i in sorted(indices):
-        p_i, q_i = gen("p", i), gen("q", i)
-        out = (out + _product(_partial(f, p_i), _partial(g, q_i))
-               - _product(_partial(g, p_i), _partial(f, q_i)))
-    return out
+    """{f, g} = sum_i df/dp_i dg/dq_i - dg/dp_i df/dq_i, exact.
+
+    The bilinear extension of the closed form on monomials: {a, b} is the
+    sum over distinct p_i of a of c_a(p_i)·c_b(q_i)·(a/p_i)(b/q_i), minus
+    the same with a and b swapped, where c_x(g) is the multiplicity of g in x.
+    """
+    out: dict[Monomial, Rational] = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            for mono, c in _bracket_monomials(a, b).items():
+                out[mono] = out.get(mono, 0) + c * x * y
+    return LinComb._adopt({mono: c for mono, c in out.items() if c})
 
 
 def symplectic_form(u: Generator, v: Generator) -> int:
@@ -164,26 +182,22 @@ def word_to_strings(w: TensorWord) -> list[str]:
     return [_monomial_str(f) for f in w.factors]
 
 
-def _bracket_monomials(a: Monomial, b: Monomial) -> LinComb:
-    return poisson_bracket(LinComb.of(a), LinComb.of(b))
-
-
 def leibniz_differential(x: LinComb) -> LinComb:
-    """d(g_1⊗...⊗g_n) = sum_{i<j} (-1)^j g_1⊗...⊗{g_i,g_j}@i...⊗ĝ_j⊗...⊗g_n."""
+    """d(g_1⊗...⊗g_n) = sum_{i<j} (-1)^j g_1⊗...⊗{g_i,g_j}@i...⊗ĝ_j⊗...⊗g_n.
+
+    Each bracket {g_i, g_j} of two monomials is taken in closed form (see
+    `poisson_bracket`), and the terms of a word are summed in one dict.
+    """
     def per_word(w: TensorWord) -> LinComb:
-        out = LinComb.zero()
+        out: dict[TensorWord, int] = {}
         fs = w.factors
-        n = len(fs)
-        for j in range(2, n + 1):
+        for j in range(2, len(fs) + 1):
+            sign = (-1) ** j
             for i in range(1, j):
-                br = _bracket_monomials(fs[i - 1], fs[j - 1])
-                if br.is_zero():
-                    continue
-                sign = (-1) ** j
-                for mono, coeff in br.items():
-                    new = fs[:i - 1] + (mono,) + fs[i:j - 1] + fs[j:]
-                    out = out + LinComb.of(TensorWord(new), coeff * sign)
-        return out
+                for mono, c in _bracket_monomials(fs[i - 1], fs[j - 1]).items():
+                    key = TensorWord(fs[:i - 1] + (mono,) + fs[i:j - 1] + fs[j:])
+                    out[key] = out.get(key, 0) + sign * c
+        return LinComb._adopt({key: c for key, c in out.items() if c})
     return x.mapped(per_word)
 
 
@@ -227,7 +241,7 @@ def tstar(w: TensorWord) -> LinComb:
 def split_S(pairs, shape) -> TensorWord:
     """Section of the pairing evaluation: p_k at the k-th pair's first slot,
     q_k at its second, the flat word then cut into factors by shape."""
-    shape = tuple(int(k) for k in shape)
+    shape = _shape_parts(shape)
     slots = 2 * len(pairs)
     if sum(shape) != slots or any(k < 1 for k in shape):
         raise BadShapeError(f"shape {shape} incompatible with {slots} slots")

@@ -208,6 +208,13 @@ def test_package_zero_and_worked():
         package(D_EX, (1, 5, 2))
 
 
+def test_package_refuses_non_integer_shape_parts():
+    d = chord_diagram([(1, 3), (2, 4)])
+    for shape in ((2.5, 2.5), (2.0, 2), ("2", "2")):
+        with pytest.raises(BadShapeError):
+            package(d, shape)
+
+
 def test_package_orbit_independence():
     # acting within packages changes the class only by the pair-flip sign
     rng = random.Random(6)

@@ -24,11 +24,50 @@ from graphhomology.symplectic import (
     word_from_strings,
     word_to_graphs,
     word_to_strings,
-    _product,
 )
 
 W_EX = word_from_strings(["p1 p2 p3", "q1 q2 p4", "q3 q4"])
 G_EX = graph(3, [(1, 2), (1, 2), (1, 3), (2, 3)])
+
+
+def _product(f: LinComb, g: LinComb) -> LinComb:
+    return f.mapped(lambda a: g.map_keys(lambda b: monomial(a + b)))
+
+
+def _partial(f: LinComb, g) -> LinComb:
+    """∂f/∂g: each monomial loses one g and gains its multiplicity as a factor."""
+    def lower(mono):
+        if g not in mono:
+            return LinComb.zero()
+        k = mono.index(g)
+        return LinComb.of(mono[:k] + mono[k + 1:], mono.count(g))
+    return f.mapped(lower)
+
+
+def bracket_oracle(f: LinComb, g: LinComb) -> LinComb:
+    """{f, g} = Σ_i ∂f/∂p_i·∂g/∂q_i − ∂g/∂p_i·∂f/∂q_i, by the ∂-formula."""
+    indices = {gn.index for x in (f, g) for mono in x.keys() for gn in mono}
+    out = LinComb.zero()
+    for i in sorted(indices):
+        p_i, q_i = gen("p", i), gen("q", i)
+        out = (out + _product(_partial(f, p_i), _partial(g, q_i))
+               - _product(_partial(g, p_i), _partial(f, q_i)))
+    return out
+
+
+def leibniz_oracle(x: LinComb) -> LinComb:
+    """Σ_{i<j} (−1)^j over factor pairs, one term at a time, by the oracle bracket."""
+    def per_word(w: TensorWord) -> LinComb:
+        out = LinComb.zero()
+        fs = w.factors
+        for j in range(2, len(fs) + 1):
+            for i in range(1, j):
+                br = bracket_oracle(LinComb.of(fs[i - 1]), LinComb.of(fs[j - 1]))
+                for mono, coeff in br.items():
+                    new = fs[:i - 1] + (mono,) + fs[i:j - 1] + fs[j:]
+                    out = out + LinComb.of(TensorWord(new), coeff * (-1) ** j)
+        return out
+    return x.mapped(per_word)
 
 
 def random_polynomial(rng, indices=(1, 2), degree=2, terms=2):
@@ -65,6 +104,31 @@ def test_poisson_bracket_jacobi():
         assert total.is_zero()
 
 
+def random_power_polynomial(rng, terms=3):
+    """Fraction coefficients on monomials in p1..p3, q1..q3, powers 0..3; a
+    term is a constant one time in five."""
+    out = LinComb.zero()
+    for _ in range(terms):
+        gens = [] if rng.random() < 0.2 else [
+            gen(kind, i) for kind in "pq" for i in (1, 2, 3)
+            for _ in range(rng.choice((0, 0, 0, 1, 2, 3)))]
+        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        out = out + LinComb.of(monomial(gens), coeff)
+    return out
+
+
+def test_poisson_bracket_matches_partial_derivative_oracle():
+    rng = random.Random(13)
+    const = LinComb.of(monomial([]), Fraction(3, 2))
+    for _ in range(300):
+        f, g = random_power_polynomial(rng), random_power_polynomial(rng)
+        for x, y in ((f, g), (g, f), (f, const), (const, g)):
+            got = poisson_bracket(x, y)
+            assert got == bracket_oracle(x, y)
+            assert all(c for _, c in got.items())
+        assert poisson_bracket(f, const).is_zero()
+
+
 def test_poisson_bracket_derivation():
     rng = random.Random(9)
     for _ in range(20):
@@ -79,6 +143,26 @@ def test_leibniz_differential_worked_four_terms():
                 + LinComb.of(word_from_strings(["p1 p2 p3", "q1 q2 q3"]), -1)
                 + LinComb.of(word_from_strings(["p1 p2 q4", "q1 q2 p4"]), -1))
     assert leibniz_differential(LinComb.of(W_EX)) == expected
+
+
+def test_leibniz_differential_matches_per_pair_oracle():
+    words = [W_EX] + [random_split_word(random.Random(s)) for s in range(50)]
+    for w in words:
+        got = leibniz_differential(LinComb.of(w))
+        assert got == leibniz_oracle(LinComb.of(w))
+        assert all(c for _, c in got.items())
+
+
+def test_leibniz_differential_cancelling_and_collapsing_terms():
+    # {p1 p1, q1} = 2 p1 at pairs (1, 2) and (1, 3), with opposite signs
+    w = word_from_strings(["p1 p1", "q1", "q1"])
+    assert leibniz_oracle(LinComb.of(w)).is_zero()
+    assert leibniz_differential(LinComb.of(w)) == LinComb.zero()
+    # pairs (1, 3) and (2, 3) give ±(p1 | q1); pair (1, 2) leaves ( | p1 q1)
+    w = word_from_strings(["p1", "q1", "p1 q1"])
+    got = leibniz_differential(LinComb.of(w))
+    assert got == leibniz_oracle(LinComb.of(w))
+    assert repr(got) == "LinComb(1*TensorWord( | p1 q1))"
 
 
 def test_leibniz_differential_single_factor():
@@ -147,6 +231,14 @@ def test_split_S_worked_examples():
     assert word_to_strings(split_S([(1, 2)], (2,))) == ["p1 q1"]
     with pytest.raises(BadShapeError):
         split_S([(1, 2)], (3,))
+
+
+def test_split_S_refuses_non_integer_shape_parts():
+    for shape in ((2.9, 2.2), (2.0, 2), ("2", "2")):
+        with pytest.raises(BadShapeError):
+            split_S([(1, 2), (3, 4)], shape)
+    with pytest.raises(BadShapeError):
+        split_S([(1, 2)], (True, True))
 
 
 def test_word_to_graphs_worked():
