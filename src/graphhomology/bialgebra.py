@@ -4,20 +4,15 @@ The coproduct splits the ordered component list: the first component stays in
 the left tensor factor, the rest distribute over both sides keeping their
 order.  Connected graphs are primitive.  The projector is the alternating
 left-bracketed convolution series, which truncates at the component count.
-
-The interchange checker comes in two variants: the plain one evaluates the
-identity with unsigned factor shuffles; the signed one inserts the graded
-shuffle signs (-1 per transposed factor pair) plus (-1)^p on the right-leg
-differential, which is the form that actually holds.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlinalg import LinComb, rational
+from .exactlinalg import LinComb
 from .graphs import Graph, UNIT, assemble, connected_components, disjoint_union
 from .symplectic import TensorWord, leibniz_differential
 
@@ -43,7 +38,6 @@ __all__ = [
     "mag_compose",
     "word_cohalf_pq",
     "check_interchange",
-    "check_interchange_signed",
     "UnitInputError",
     "EmptyLeftError",
     "NonzeroConstantTermError",
@@ -86,10 +80,11 @@ def cohalf_shuffle(g: Graph) -> LinComb:
         raise UnitInputError("the unit graph has no half-shuffle coproduct")
     comps = connected_components(g)
     head, tail = comps[0], comps[1:]
-    out = LinComb.zero()
+    out: dict[tuple[Graph, Graph], int] = {}
     for left, right in _splits(tail):
-        out = out + LinComb.of((assemble((head,) + left), assemble(right)))
-    return out
+        key = (assemble((head,) + left), assemble(right))
+        out[key] = out.get(key, 0) + 1
+    return LinComb._adopt(out)
 
 
 def reduced_cohalf_shuffle(g: Graph) -> LinComb:
@@ -143,11 +138,9 @@ def check_compatibility(a: Graph, b: Graph):
         return True, LinComb.zero()
     prod = disjoint_union(a, b)
     lhs = cohalf_shuffle(prod)
-    rhs = LinComb.zero()
-    for (a1, a2), ca in cohalf_shuffle(a).items():
-        for (b1, b2), cb in full_coproduct(b).items():
-            key = (disjoint_union(a1, b1), disjoint_union(a2, b2))
-            rhs = rhs + LinComb.of(key, ca * cb)
+    fb = full_coproduct(b)
+    rhs = cohalf_shuffle(a).mapped(lambda pa: fb.map_keys(
+        lambda pb: (disjoint_union(pa[0], pb[0]), disjoint_union(pa[1], pb[1]))))
     defect = lhs - rhs
     return defect.is_zero(), defect
 
@@ -158,11 +151,9 @@ def _convolution_power(k: int, g: Graph, memo: dict) -> LinComb:
         return LinComb.of(g)
     key = (k, g)
     if key not in memo:
-        out = LinComb.zero()
-        for (left, right), c in reduced_cohalf_shuffle(g).items():
-            inner = _convolution_power(k - 1, left, memo)
-            out = out + inner.map_keys(lambda m, r=right: disjoint_union(m, r)).scale(c)
-        memo[key] = out
+        memo[key] = reduced_cohalf_shuffle(g).mapped(
+            lambda lr: _convolution_power(k - 1, lr[0], memo).map_keys(
+                lambda m: disjoint_union(m, lr[1])))
     return memo[key]
 
 
@@ -182,17 +173,18 @@ def primitive_projector(x: LinComb, degree_bound: int | None = None) -> LinComb:
         bound = len(connected_components(g))
         if degree_bound is not None:
             bound = min(bound, degree_bound)
-        out = LinComb.zero()
+        out: dict[Graph, int | Fraction] = {}
         for k in range(1, bound + 1):
-            out = out + _convolution_power(k, g, memo).scale((-1) ** (k - 1))
-        return out
+            for h, c in _convolution_power(k, g, memo).items():
+                out[h] = out.get(h, 0) + (-1) ** (k - 1) * c
+        return LinComb(out)
 
     return x.mapped(per_graph)
 
 
 def shuffle_words(u: tuple, v: tuple) -> LinComb:
     """Shuffle product of two letter words, with multiplicities."""
-    out = LinComb.zero()
+    out: dict[tuple, int] = {}
     n, m = len(u), len(v)
     for positions in itertools.combinations(range(n + m), n):
         merged = [None] * (n + m)
@@ -202,8 +194,9 @@ def shuffle_words(u: tuple, v: tuple) -> LinComb:
         for k in range(n + m):
             if merged[k] is None:
                 merged[k] = next(rest)
-        out = out + LinComb.of(tuple(merged))
-    return out
+        key = tuple(merged)
+        out[key] = out.get(key, 0) + 1
+    return LinComb._adopt(out)
 
 
 def halfshuffle(u: tuple, v: tuple) -> LinComb:
@@ -289,18 +282,17 @@ def _graft(tree, inner: dict[int, LinComb], bound: int) -> dict[int, LinComb]:
     left, right = tree
     left_sub = _graft(left, inner, bound)
     right_sub = _graft(right, inner, bound)
-    out: dict[int, LinComb] = {}
+    out: dict[int, dict] = {}
     for dl, lcl in left_sub.items():
         for dr, lcr in right_sub.items():
             d = dl + dr
             if d > bound:
                 continue
-            acc = out.get(d, LinComb.zero())
+            terms = out.setdefault(d, {})
             for tl, cl in lcl.items():
                 for tr, cr in lcr.items():
-                    acc = acc + LinComb.of((tl, tr), cl * cr)
-            out[d] = acc
-    return out
+                    terms[(tl, tr)] = terms.get((tl, tr), 0) + cl * cr
+    return {d: LinComb(terms) for d, terms in out.items()}
 
 
 def mag_compose(outer: MagSeries, inner: MagSeries, degree_bound: int) -> MagSeries:
@@ -308,75 +300,57 @@ def mag_compose(outer: MagSeries, inner: MagSeries, degree_bound: int) -> MagSer
     inner_map = inner.term_map()
     if inner_map.get(0):
         raise NonzeroConstantTermError("substituted series must have no constant term")
-    acc: dict[int, LinComb] = {}
+    acc: dict[int, dict] = {}
     for _, lc in outer.terms:
         for tree, coeff in lc.items():
             for d, sub in _graft(tree, inner_map, degree_bound).items():
-                acc[d] = acc.get(d, LinComb.zero()) + sub.scale(coeff)
-    return MagSeries.from_dict(degree_bound, acc)
+                terms = acc.setdefault(d, {})
+                for t, c in sub.items():
+                    terms[t] = terms.get(t, 0) + coeff * c
+    return MagSeries.from_dict(degree_bound, {d: LinComb(terms) for d, terms in acc.items()})
 
 
 # --- word-level coproduct projections and the interchange law ----------------
 
-def word_cohalf_pq(w: TensorWord, p: int, q: int, signed: bool = False) -> LinComb:
+def word_cohalf_pq(w: TensorWord, p: int, q: int) -> LinComb:
     """(p, q)-component of the factor half-shuffle coproduct of a word.
 
     The first factor stays on the left; the remaining factors split
-    order-preservingly.  With ``signed`` each pair of factors that ends up
-    transposed contributes -1 (graded shuffle sign for degree-one letters).
+    order-preservingly, and each pair of factors that ends up transposed
+    contributes -1 (graded shuffle sign for degree-one letters).
     """
     fs = w.factors
     n = len(fs)
-    if p + q != n:
+    if p + q != n or p < 1:
         return LinComb.zero()
-    if p < 1:
-        return LinComb.zero()
-    out = LinComb.zero()
+    out: dict[tuple[TensorWord, TensorWord], int] = {}
     for left_idx in itertools.combinations(range(1, n), p - 1):
         left_pos = (0,) + left_idx
         right_pos = tuple(k for k in range(1, n) if k not in left_idx)
-        sign = 1
-        if signed:
-            inversions = sum(1 for x in left_pos for y in right_pos if y < x)
-            sign = -1 if inversions % 2 else 1
-        left = TensorWord(tuple(fs[k] for k in left_pos))
-        right = TensorWord(tuple(fs[k] for k in right_pos))
-        out = out + LinComb.of((left, right), sign)
-    return out
-
-
-def _interchange_sides(w: TensorWord, p: int, q: int, signed: bool):
-    if len(w.factors) != p + q + 1:
-        raise LengthMismatchError(f"word has {len(w.factors)} factors, need {p + q + 1}")
-
-    lhs = LinComb.zero()
-    for term, c in leibniz_differential(LinComb.of(w)).items():
-        lhs = lhs + word_cohalf_pq(term, p, q, signed).scale(c)
-
-    rhs = LinComb.zero()
-    for (left, right), c in word_cohalf_pq(w, p + 1, q, signed).items():
-        for lterm, lc in leibniz_differential(LinComb.of(left)).items():
-            rhs = rhs + LinComb.of((lterm, right), c * lc)
-    right_sign = (-1) ** p if signed else 1
-    for (left, right), c in word_cohalf_pq(w, p, q + 1, signed).items():
-        for rterm, rc in leibniz_differential(LinComb.of(right)).items():
-            rhs = rhs + LinComb.of((left, rterm), c * rc * right_sign)
-    return lhs, rhs
+        inversions = sum(1 for x in left_pos for y in right_pos if y < x)
+        key = (TensorWord(tuple(fs[k] for k in left_pos)),
+               TensorWord(tuple(fs[k] for k in right_pos)))
+        out[key] = out.get(key, 0) + (-1) ** inversions
+    return LinComb(out)
 
 
 def check_interchange(w: TensorWord, p: int, q: int):
-    """Unsigned interchange of the factor half shuffle with the differential.
+    """Graded interchange of the factor half shuffle with the differential.
 
-    Returns (ok, defect).  The unsigned form fails in general: the shuffle
-    needs graded signs for the differential to pass across it.
+    Compares Δ_{p,q}(dw) with (d ⊗ Id)Δ_{p+1,q}(w) + (-1)^p (Id ⊗ d)Δ_{p,q+1}(w),
+    where Δ is `word_cohalf_pq` with its graded shuffle signs; this identity
+    holds.  Returns (ok, defect).
     """
-    lhs, rhs = _interchange_sides(w, p, q, signed=False)
-    defect = lhs - rhs
-    return defect.is_zero(), defect
+    if len(w.factors) != p + q + 1:
+        raise LengthMismatchError(f"word has {len(w.factors)} factors, need {p + q + 1}")
 
+    def d(word: TensorWord) -> LinComb:
+        return leibniz_differential(LinComb.of(word))
 
-def check_interchange_signed(w: TensorWord, p: int, q: int):
-    """Graded-sign interchange; this identity holds.  Returns (ok, defect)."""
-    lhs, rhs = _interchange_sides(w, p, q, signed=True)
+    lhs = d(w).mapped(lambda term: word_cohalf_pq(term, p, q))
+    rhs = (word_cohalf_pq(w, p + 1, q).mapped(
+               lambda lr: d(lr[0]).map_keys(lambda t: (t, lr[1])))
+           + word_cohalf_pq(w, p, q + 1).mapped(
+               lambda lr: d(lr[1]).map_keys(lambda t: (lr[0], t))).scale((-1) ** p))
     defect = lhs - rhs
     return defect.is_zero(), defect

@@ -256,7 +256,7 @@ def _suite_items(config: RunConfig):
             n = len(w.factors)
             for p in range(0, n):
                 q = n - 1 - p
-                _, defect = bialgebra.check_interchange_signed(w, p, q)
+                _, defect = bialgebra.check_interchange(w, p, q)
                 yield _defect_item(f"word {case} split ({p},{q})", defect)
     elif config.suite == "commute":
         for g in _bridge_graphs(config):

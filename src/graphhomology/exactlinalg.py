@@ -214,9 +214,6 @@ class SparseMatrix:
                     entries[(r, c)] = val
         return cls.from_entries(rows, cols, entries)
 
-    def entry_map(self) -> dict[tuple[int, int], Rational]:
-        return dict(self.entries)
-
     def to_dense(self) -> list[list[Rational]]:
         out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), val in self.entries:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator
 
-from .exactlinalg import LinComb
+from .exactlinalg import LinComb, Rational, rational
 
 __all__ = [
     "Graph",
@@ -646,9 +646,10 @@ def lincomb_to_records(x: LinComb) -> list[dict]:
 
 
 def lincomb_from_records(recs) -> LinComb:
-    out = LinComb.zero()
+    out: dict[Graph, Rational] = {}
     for rec in recs:
         _require_json(rec, dict, "a term record")
         coeff = _require_json(rec["coeff"], (int, str), "a coefficient")
-        out = out + LinComb.of(graph_from_record(rec["graph"]), coeff)
-    return out
+        g = graph_from_record(rec["graph"])
+        out[g] = out.get(g, 0) + rational(coeff)
+    return LinComb(out)

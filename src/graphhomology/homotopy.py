@@ -61,13 +61,13 @@ def classify(g: Graph) -> Classification:
 
 
 def slice_from_bases(bases: dict[int, list[Graph]], diff=differential_graph,
-                     project: bool = False,
-                     complete: dict[int, bool] | None = None) -> ChainComplexSlice:
+                     project: bool = False) -> ChainComplexSlice:
     """Assemble a ChainComplexSlice from per-degree graph bases.
 
     Differential coordinates come from `diff` on each basis element; terms
     outside the target basis are an error unless ``project`` is set (then the
-    slice computes the quotient/projected differential).
+    slice computes the quotient/projected differential).  Every degree is
+    marked complete: each basis must hold every graph of its degree.
     """
     degrees = (min(bases), max(bases))
     index = {k: {g: i for i, g in enumerate(bs)} for k, bs in bases.items()}
@@ -83,9 +83,8 @@ def slice_from_bases(bases: dict[int, list[Graph]], diff=differential_graph,
                     raise ValueError(f"differential leaves the basis: {term} from {g}")
                 entries[(target[term], col)] = coeff
         d[k] = SparseMatrix.from_entries(len(bases[k - 1]), len(bases[k]), entries)
-    completeness = {k: True for k in bases} if complete is None else complete
     return ChainComplexSlice(degrees, {k: tuple(v) for k, v in bases.items()},
-                             d, completeness)
+                             d, {k: True for k in bases})
 
 
 def polygon_complex(max_n: int) -> ChainComplexSlice:

@@ -1,7 +1,9 @@
 """Polynomial algebra in p_i, q_i, the Poisson bracket, and the word bridges.
 
-Tensor words are ordered tuples of commutative monomials; a monomial is the
-sorted tuple of its generators with multiplicity, and a polynomial is a
+A generator is a plain int: p_i is 2i and q_i is 2i + 1, so int order is
+the order by index with p_i before q_i, and g ^ 1 is g's conjugate.  Tensor
+words are ordered tuples of commutative monomials; a monomial is the sorted
+tuple of its generators with multiplicity, and a polynomial is a
 `LinComb` of monomials with int or Fraction coefficients.  The Poisson
 bracket of two monomials is taken in closed form: {a, b} sums, over the
 distinct p_i of a, c_a(p_i)·c_b(q_i) times the product of a less one p_i
@@ -32,7 +34,6 @@ from .diagrams import BadShapeError, ChordDiagram, _shape_parts, package, varphi
 from .graphs import Graph, valences
 
 __all__ = [
-    "Generator",
     "Monomial",
     "TensorWord",
     "UNIT_WORD",
@@ -55,25 +56,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
-    """One indeterminate: kind 'p' or 'q', positive index."""
-
-    index: int
-    kind: str
-
-    def __repr__(self) -> str:
-        return f"{self.kind}{self.index}"
-
-    @property
-    def sort_key(self):
-        return (self.index, 0 if self.kind == "p" else 1)
-
-
-def gen(kind: str, index: int) -> Generator:
-    if kind not in ("p", "q") or index < 1:
+def gen(kind: str, index: int) -> int:
+    """The generator p_index (2·index) or q_index (2·index + 1)."""
+    if kind not in ("p", "q") or type(index) is not int or index < 1:
         raise ValueError(f"bad generator {kind}{index}")
-    return Generator(index, kind)
+    return 2 * index + "pq".index(kind)
+
+
+def _gen_str(g: int) -> str:
+    return f"{'pq'[g & 1]}{g >> 1}"
 
 
 # A monomial is the sorted tuple of its generators (with multiplicity).
@@ -81,7 +72,7 @@ Monomial = tuple
 
 
 def monomial(gens) -> Monomial:
-    return tuple(sorted(gens, key=lambda g: g.sort_key))
+    return tuple(sorted(gens))
 
 
 _TOKEN = re.compile(r"([pq])(\d+)(?:\^(\d+))?$")
@@ -99,7 +90,7 @@ def _parse_monomial(text: str) -> Monomial:
 
 
 def _monomial_str(mono: Monomial) -> str:
-    return " ".join(repr(g) for g in mono)
+    return " ".join(map(_gen_str, mono))
 
 
 def poly(text: str, coeff=1) -> LinComb:
@@ -107,26 +98,15 @@ def poly(text: str, coeff=1) -> LinComb:
     return LinComb.of(_parse_monomial(text), coeff)
 
 
-def _runs(mono: Monomial, kind: str) -> dict[int, tuple[int, int]]:
-    """index -> (first position, multiplicity) of mono's generators of one kind."""
-    runs: dict[int, tuple[int, int]] = {}
-    for pos, g in enumerate(mono):
-        if g.kind == kind:
-            first, mult = runs.get(g.index, (pos, 0))
-            runs[g.index] = (first, mult + 1)
-    return runs
-
-
 def _bracket_monomials(a: Monomial, b: Monomial) -> dict[Monomial, int]:
     """{a, b} of two monomials in closed form, as {monomial: nonzero int}."""
     out: dict[Monomial, int] = {}
     for sign, f, g in ((1, a, b), (-1, b, a)):
-        qs = _runs(g, "q")
-        for i, (k, c) in _runs(f, "p").items():
-            if i in qs:
-                l, d = qs[i]
+        for p in dict.fromkeys(f):
+            if not p & 1 and p + 1 in g:
+                k, l = f.index(p), g.index(p + 1)
                 key = monomial(f[:k] + f[k + 1:] + g[:l] + g[l + 1:])
-                out[key] = out.get(key, 0) + sign * c * d
+                out[key] = out.get(key, 0) + sign * f.count(p) * g.count(p + 1)
     return {key: c for key, c in out.items() if c}
 
 
@@ -145,10 +125,10 @@ def poisson_bracket(f: LinComb, g: LinComb) -> LinComb:
     return LinComb._adopt({mono: c for mono, c in out.items() if c})
 
 
-def symplectic_form(u: Generator, v: Generator) -> int:
+def symplectic_form(u: int, v: int) -> int:
     """ω(p_i, q_i) = 1, ω(q_i, p_i) = -1, all other generator pairs 0."""
-    if u.index == v.index and u.kind != v.kind:
-        return 1 if u.kind == "p" else -1
+    if u ^ v == 1:
+        return -1 if u & 1 else 1
     return 0
 
 
@@ -201,8 +181,8 @@ def leibniz_differential(x: LinComb) -> LinComb:
     return x.mapped(per_word)
 
 
-def _flatten(w: TensorWord) -> list[Generator]:
-    letters: list[Generator] = []
+def _flatten(w: TensorWord) -> list[int]:
+    letters: list[int] = []
     for f in w.factors:
         letters.extend(f)
     return letters
@@ -301,7 +281,7 @@ def graph_to_word(g: Graph) -> TensorWord:
 
 def _relabel_word(w: TensorWord, index_map) -> TensorWord:
     return TensorWord(tuple(
-        monomial(gen(g.kind, index_map(g.index)) for g in f) for f in w.factors))
+        monomial(2 * index_map(g >> 1) + (g & 1) for g in f) for f in w.factors))
 
 
 def matrix_sum_product(a: TensorWord, b: TensorWord) -> TensorWord:

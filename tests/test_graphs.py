@@ -489,3 +489,10 @@ def test_records_round_trip():
     assert graph_from_record(rec) == G_EX
     x = LinComb.of(G_EX, "2/3") + LinComb.of(TRIPLE, -2)
     assert lincomb_from_records(lincomb_to_records(x)) == x
+
+
+def test_lincomb_from_records_sums_repeated_graphs():
+    rec = graph_to_record(G_EX)
+    recs = [{"coeff": "1/2", "graph": rec}, {"coeff": 3, "graph": graph_to_record(TRIPLE)},
+            {"coeff": "1/2", "graph": rec}, {"coeff": "-3", "graph": graph_to_record(TRIPLE)}]
+    assert lincomb_from_records(recs) == LinComb.of(G_EX)

@@ -46,7 +46,7 @@ def _partial(f: LinComb, g) -> LinComb:
 
 def bracket_oracle(f: LinComb, g: LinComb) -> LinComb:
     """{f, g} = Σ_i ∂f/∂p_i·∂g/∂q_i − ∂g/∂p_i·∂f/∂q_i, by the ∂-formula."""
-    indices = {gn.index for x in (f, g) for mono in x.keys() for gn in mono}
+    indices = {gn >> 1 for x in (f, g) for mono in x.keys() for gn in mono}
     out = LinComb.zero()
     for i in sorted(indices):
         p_i, q_i = gen("p", i), gen("q", i)
@@ -180,6 +180,23 @@ def test_symplectic_form_values():
     assert symplectic_form(gen("p", 1), gen("q", 1)) == Fraction(1)
     assert symplectic_form(gen("p", 1), gen("p", 2)) == Fraction(0)
     assert symplectic_form(gen("q", 3), gen("p", 3)) == Fraction(-1)
+
+
+def test_gen_refuses_non_integer_index():
+    for index in (2.5, 2.0, True, False, "2", None):
+        with pytest.raises(ValueError):
+            gen("p", index)
+    for kind, index in (("x", 1), ("p", 0), ("q", -1)):
+        with pytest.raises(ValueError):
+            gen(kind, index)
+
+
+def test_generator_order_is_index_then_p_before_q():
+    w = word_from_strings(["q2 p1 q1 p2"])
+    assert repr(w) == "TensorWord(p1 q1 p2 q2)"
+    assert word_to_strings(w) == ["p1 q1 p2 q2"]
+    assert monomial([gen("q", 2), gen("p", 1), gen("q", 1), gen("p", 2)]) == \
+        (gen("p", 1), gen("q", 1), gen("p", 2), gen("q", 2))
 
 
 def test_tstar_basic_values():
