@@ -4,12 +4,14 @@ The coproduct splits the ordered component list: the first component stays in
 the left tensor factor, the rest distribute over both sides keeping their
 order.  Connected graphs are primitive.  The projector is the alternating
 left-bracketed convolution series, which truncates at the component count.
+A series in the free magma, truncated at a degree bound, is a LinComb keyed
+by planar binary trees; every tree has at least one leaf, so no series has a
+constant term.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlinalg import LinComb
@@ -28,10 +30,10 @@ __all__ = [
     "shuffle_words",
     "star_product",
     "LEAF",
+    "SERIES_MAX_DEGREE",
     "tree_degree",
     "left_comb",
     "right_comb",
-    "MagSeries",
     "series_f",
     "series_g",
     "identity_series",
@@ -40,7 +42,6 @@ __all__ = [
     "check_interchange",
     "UnitInputError",
     "EmptyLeftError",
-    "NonzeroConstantTermError",
     "LengthMismatchError",
 ]
 
@@ -50,10 +51,6 @@ class UnitInputError(ValueError):
 
 
 class EmptyLeftError(ValueError):
-    pass
-
-
-class NonzeroConstantTermError(ValueError):
     pass
 
 
@@ -157,24 +154,21 @@ def _convolution_power(k: int, g: Graph, memo: dict) -> LinComb:
     return memo[key]
 
 
-def primitive_projector(x: LinComb, degree_bound: int | None = None) -> LinComb:
+def primitive_projector(x: LinComb) -> LinComb:
     """Alternating convolution series J - J*J + (J*J)*J - ...
 
     Convolution is through the reduced coproduct, so the k-th power vanishes
     on graphs with fewer than k components: the series truncates at the
-    component count (or degree_bound).  Fixes connected graphs, kills proper
-    products, idempotent.
+    component count.  Fixes connected graphs, kills proper products,
+    idempotent.
     """
     memo: dict = {}
 
     def per_graph(g: Graph) -> LinComb:
         if g == UNIT:
             return LinComb.zero()
-        bound = len(connected_components(g))
-        if degree_bound is not None:
-            bound = min(bound, degree_bound)
         out: dict[Graph, int | Fraction] = {}
-        for k in range(1, bound + 1):
+        for k in range(1, len(connected_components(g)) + 1):
             for h, c in _convolution_power(k, g, memo).items():
                 out[h] = out.get(h, 0) + (-1) ** (k - 1) * c
         return LinComb(out)
@@ -240,45 +234,31 @@ def right_comb(n: int):
     return out
 
 
-@dataclass(frozen=True)
-class MagSeries:
-    """Formal series in the free magma, truncated at a degree bound."""
-
-    bound: int
-    terms: tuple[tuple[int, LinComb], ...]
-
-    @classmethod
-    def from_dict(cls, bound: int, terms: dict[int, LinComb]) -> "MagSeries":
-        clean = tuple(sorted((d, lc) for d, lc in terms.items() if lc and d <= bound))
-        return cls(bound, clean)
-
-    def term_map(self) -> dict[int, LinComb]:
-        return dict(self.terms)
-
-    def coeff(self, tree) -> int | Fraction:
-        return self.term_map().get(tree_degree(tree), LinComb.zero()).coeff(tree)
+# mag_compose's cost more than doubles per degree (one composition at degree
+# 16 takes about 1 s on a 2-core Xeon), so a larger bound is refused rather
+# than run for hours
+SERIES_MAX_DEGREE = 16
 
 
-def series_f(degree_bound: int) -> MagSeries:
+def series_f(degree_bound: int) -> LinComb:
     """Right combs, all coefficients +1."""
-    return MagSeries.from_dict(degree_bound, {
-        n: LinComb.of(right_comb(n)) for n in range(1, degree_bound + 1)})
+    return LinComb({right_comb(n): 1 for n in range(1, degree_bound + 1)})
 
 
-def series_g(degree_bound: int) -> MagSeries:
+def series_g(degree_bound: int) -> LinComb:
     """Left combs with alternating signs, +1 on the single leaf."""
-    return MagSeries.from_dict(degree_bound, {
-        n: LinComb.of(left_comb(n), (-1) ** (n + 1)) for n in range(1, degree_bound + 1)})
+    return LinComb({left_comb(n): (-1) ** (n + 1) for n in range(1, degree_bound + 1)})
 
 
-def identity_series(degree_bound: int) -> MagSeries:
-    return MagSeries.from_dict(degree_bound, {1: LinComb.of(LEAF)})
+def identity_series(degree_bound: int) -> LinComb:
+    """The single leaf, or zero when the bound truncates it away."""
+    return LinComb.of(LEAF) if degree_bound >= 1 else LinComb.zero()
 
 
-def _graft(tree, inner: dict[int, LinComb], bound: int) -> dict[int, LinComb]:
-    """Substitute the series `inner` into every leaf of one tree shape."""
+def _graft(tree, inner: dict[int, dict], bound: int) -> dict[int, LinComb]:
+    """Substitute the series `inner`, grouped by degree, into every leaf of a tree."""
     if tree == LEAF:
-        return {d: lc for d, lc in inner.items() if d <= bound}
+        return {d: terms for d, terms in inner.items() if d <= bound}
     left, right = tree
     left_sub = _graft(left, inner, bound)
     right_sub = _graft(right, inner, bound)
@@ -295,19 +275,23 @@ def _graft(tree, inner: dict[int, LinComb], bound: int) -> dict[int, LinComb]:
     return {d: LinComb(terms) for d, terms in out.items()}
 
 
-def mag_compose(outer: MagSeries, inner: MagSeries, degree_bound: int) -> MagSeries:
-    """Formal substitution of inner into outer, truncated at degree_bound."""
-    inner_map = inner.term_map()
-    if inner_map.get(0):
-        raise NonzeroConstantTermError("substituted series must have no constant term")
-    acc: dict[int, dict] = {}
-    for _, lc in outer.terms:
-        for tree, coeff in lc.items():
-            for d, sub in _graft(tree, inner_map, degree_bound).items():
-                terms = acc.setdefault(d, {})
-                for t, c in sub.items():
-                    terms[t] = terms.get(t, 0) + coeff * c
-    return MagSeries.from_dict(degree_bound, {d: LinComb(terms) for d, terms in acc.items()})
+def mag_compose(outer: LinComb, inner: LinComb, degree_bound: int) -> LinComb:
+    """Formal substitution of inner into outer, truncated at degree_bound.
+
+    A degree_bound above SERIES_MAX_DEGREE raises ValueError.
+    """
+    if degree_bound > SERIES_MAX_DEGREE:
+        raise ValueError(f"mag_compose truncates at degree {degree_bound}; at most "
+                         f"{SERIES_MAX_DEGREE} is supported")
+    inner_map: dict[int, dict] = {}
+    for tree, c in inner.items():
+        inner_map.setdefault(tree_degree(tree), {})[tree] = c
+    out: dict = {}
+    for tree, coeff in outer.items():
+        for sub in _graft(tree, inner_map, degree_bound).values():
+            for t, c in sub.items():
+                out[t] = out.get(t, 0) + coeff * c
+    return LinComb(out)
 
 
 # --- word-level coproduct projections and the interchange law ----------------

@@ -11,39 +11,18 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 
 from . import bialgebra, diagrams, graphs, homotopy, symplectic
 from .exactlinalg import LinComb, chain_contraction, homology_dims, rank
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 SUITES = ("d2", "contraction", "bialgebra", "series", "interchange", "commute",
           "lie-diagram")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    vertices: int = 4
-    edges: int = 6
-    min_valence: int = 0
-    connected: bool = False
-    lie: bool = False
-    polygons: bool = False
-    loop: int | None = None
-    suite: str | None = None
-    seed: int = 0
-    input: str | None = None
-    output: str | None = None
-    max_n: int = 5
-    degree: int = 8
-    convert_from: str | None = None
-    convert_to: str | None = None
-
-
-def _emit(config: RunConfig, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(config: argparse.Namespace, text: str) -> None:
+    """Write text and a newline to the --output file, or print it."""
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -51,18 +30,22 @@ def _emit(config: RunConfig, payload) -> None:
         print(text)
 
 
-def _load_input(config: RunConfig) -> dict:
+def _emit(config: argparse.Namespace, payload) -> None:
+    _write(config, json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _load_input(config: argparse.Namespace) -> dict:
     if not config.input:
         raise SystemExit2("--input is required for this command")
     with open(config.input, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-class SystemExit2(Exception):
+class SystemExit2(ValueError):
     """Usage error; converted to exit code 2."""
 
 
-def _cmd_enumerate(config: RunConfig):
+def _cmd_enumerate(config: argparse.Namespace):
     gs = graphs.enumerate_graphs(config.vertices, config.edges,
                                  config.min_valence, config.connected)
     _emit(config, [graphs.graph_to_record(g) for g in gs])
@@ -75,7 +58,7 @@ def _parse_graph_payload(payload) -> LinComb:
     return LinComb.of(graphs.graph_from_record(payload))
 
 
-def _cmd_diff(config: RunConfig):
+def _cmd_diff(config: argparse.Namespace):
     payload = _load_input(config)
     x = _parse_graph_payload(payload)
     if config.lie:
@@ -89,7 +72,7 @@ def _cmd_diff(config: RunConfig):
     return 0
 
 
-def _cmd_coproduct(config: RunConfig):
+def _cmd_coproduct(config: argparse.Namespace):
     payload = _load_input(config)
     g = graphs.graph_from_record(payload)
     result = bialgebra.cohalf_shuffle(g)
@@ -101,7 +84,7 @@ def _cmd_coproduct(config: RunConfig):
     return 0
 
 
-def _cmd_product(config: RunConfig):
+def _cmd_product(config: argparse.Namespace):
     payload = graphs._require_json(_load_input(config), dict, "a product record")
     left = graphs.graph_from_record(payload["left"])
     right = graphs.graph_from_record(payload["right"])
@@ -129,7 +112,7 @@ def _monomial_payload(payload):
 _STAGES = ("word", "monomial", "diagram", "graph")
 
 
-def _cmd_convert(config: RunConfig):
+def _cmd_convert(config: argparse.Namespace):
     src, dst = config.convert_from, config.convert_to
     if src not in _STAGES or dst not in _STAGES:
         raise SystemExit2(f"stages must be among {_STAGES}")
@@ -179,7 +162,7 @@ def _cmd_convert(config: RunConfig):
     return 0
 
 
-def _cmd_homology(config: RunConfig):
+def _cmd_homology(config: argparse.Namespace):
     if config.polygons:
         if config.loop is not None:
             raise SystemExit2("--loop builds the core stripe; drop --polygons")
@@ -211,7 +194,7 @@ def _matrix_terms(name: str, m) -> LinComb:
     return LinComb({(name, r, c): val for (r, c), val in m.entries})
 
 
-def _suite_items(config: RunConfig):
+def _suite_items(config: argparse.Namespace):
     """Yield (label, ok, note) triples for the selected verification suite."""
     rng = random.Random(config.seed)
     if config.suite == "d2":
@@ -282,13 +265,13 @@ def _component_pool(max_vertices: int):
     return pool
 
 
-def _bridge_graphs(config: RunConfig):
+def _bridge_graphs(config: argparse.Namespace):
     for n in range(1, config.vertices + 1):
         for g in graphs.enumerate_graphs(n, config.edges, min_valence=2):
             yield g
 
 
-def _cmd_verify(config: RunConfig):
+def _cmd_verify(config: argparse.Namespace):
     if min(config.vertices, config.edges, config.degree) < 0:
         raise SystemExit2("--vertices, --edges and --degree must be non-negative")
     lines = []
@@ -308,12 +291,7 @@ def _cmd_verify(config: RunConfig):
         body.append(f"{failures} of {total} items fail")
     else:
         body.append(f"all {total} items pass")
-    text = "\n".join(body)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(config, "\n".join(body))
     return 1 if failures else 0
 
 
@@ -328,19 +306,11 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; deterministic for a fixed config."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise SystemExit2(f"unknown command {config.command}")
-    return handler(config)
-
-
-# every option and the commands that read it
+# every option, its default and the commands that read it
 _OPTIONS = {
-    "--vertices": ({"type": int}, ("enumerate", "verify")),
-    "--edges": ({"type": int}, ("enumerate", "verify")),
-    "--min-valence": ({"type": int, "dest": "min_valence"}, ("enumerate",)),
+    "--vertices": ({"type": int, "default": 4}, ("enumerate", "verify")),
+    "--edges": ({"type": int, "default": 6}, ("enumerate", "verify")),
+    "--min-valence": ({"type": int, "dest": "min_valence", "default": 0}, ("enumerate",)),
     "--connected": ({"action": "store_true"}, ("enumerate",)),
     "--lie": ({"action": "store_true"}, ("diff",)),
     "--input": ({}, ("diff", "coproduct", "product", "convert")),
@@ -348,21 +318,21 @@ _OPTIONS = {
     "--to": ({"dest": "convert_to", "required": True}, ("convert",)),
     "--loop": ({"type": int}, ("homology",)),
     "--polygons": ({"action": "store_true"}, ("homology",)),
-    "--max-n": ({"type": int, "dest": "max_n"}, ("homology",)),
+    "--max-n": ({"type": int, "dest": "max_n", "default": 5}, ("homology",)),
     "--suite": ({"choices": SUITES}, ("verify",)),
-    "--seed": ({"type": int}, ("verify",)),
-    "--degree": ({"type": int}, ("verify",)),
+    "--seed": ({"type": int, "default": 0}, ("verify",)),
+    "--degree": ({"type": int, "default": 8}, ("verify",)),
     "--output": ({}, tuple(_COMMANDS)),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """One subcommand per command, taking only its options; an option left
-    out is absent from the parsed namespace, so RunConfig's default holds."""
+    """One subcommand per command, taking only its options; the parsed
+    namespace holds each of those options, at its default when left out."""
     parser = argparse.ArgumentParser(prog="graphhomology")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name)
         for flag, (kwargs, commands) in _OPTIONS.items():
             if name in commands:
                 p.add_argument(flag, **kwargs)
@@ -370,17 +340,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    config = RunConfig(**vars(args))
     try:
-        return run(config)
-    except SystemExit2 as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return _COMMANDS[args.command](args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

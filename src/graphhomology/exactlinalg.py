@@ -23,7 +23,6 @@ Rational = int | Fraction
 __all__ = [
     "Rational",
     "rational",
-    "rational_str",
     "LinComb",
     "SparseMatrix",
     "rank",
@@ -43,11 +42,6 @@ def rational(value) -> Rational:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"not an exact rational: {value!r}")
-
-
-def rational_str(q: Rational) -> str:
-    """Serialize a scalar as "p" or "p/q"; exactness survives round trips."""
-    return str(q)
 
 
 class LinComb:
@@ -161,7 +155,7 @@ class LinComb:
     def __repr__(self) -> str:
         if not self._terms:
             return "LinComb(0)"
-        bits = [f"{rational_str(v)}*{k!r}" for k, v in sorted(
+        bits = [f"{v}*{k!r}" for k, v in sorted(
             self._terms.items(), key=lambda kv: repr(kv[0]))]
         return "LinComb(" + " + ".join(bits) + ")"
 

@@ -40,6 +40,7 @@ every pair combination that it replaces is the test oracle
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator
@@ -49,7 +50,6 @@ from .exactlinalg import LinComb, Rational, rational
 __all__ = [
     "Graph",
     "UNIT",
-    "OrientedEdgeList",
     "GraphClass",
     "graph",
     "canonicalize",
@@ -75,6 +75,7 @@ __all__ = [
     "SizeMismatchError",
     "OrbitTooLargeError",
     "LIE_CLASS_MAX_N",
+    "ENUMERATE_MAX_GRAPHS",
 ]
 
 
@@ -167,14 +168,6 @@ def graph(n: int, edges) -> Graph:
 UNIT = Graph(0, ())
 
 
-@dataclass(frozen=True)
-class OrientedEdgeList:
-    """Directed edges on {1..n}; a presentation, not a basis element."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-
 def _signed_pairs(pairs) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     """(sign, sorted (low, high) pairs) of written pairs, or None if one is a loop.
 
@@ -193,20 +186,20 @@ def _signed_pairs(pairs) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     return sign, tuple(norm)
 
 
-def canonicalize(o: OrientedEdgeList) -> LinComb:
-    """Reduce a directed edge list to ±1 times a canonical Graph, or zero.
+def canonicalize(n: int, edges) -> LinComb:
+    """Reduce directed edges (i, j) on {1..n} to ±1 times a canonical Graph, or zero.
 
     Each edge [i, j] with i > j flips, contributing -1; any loop [i, i]
     annihilates the whole element.
     """
-    for i, j in o.edges:
-        if not (1 <= i <= o.n and 1 <= j <= o.n):
-            raise BadVertexError(f"edge [{i},{j}] outside vertex range 1..{o.n}")
-    signed = _signed_pairs(o.edges)
+    for i, j in edges:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise BadVertexError(f"edge [{i},{j}] outside vertex range 1..{n}")
+    signed = _signed_pairs(edges)
     if signed is None:
         return LinComb.zero()
-    sign, edges = signed
-    return LinComb.of(Graph(o.n, edges), sign)
+    sign, norm = signed
+    return LinComb.of(Graph(n, norm), sign)
 
 
 def _contract(g: Graph, k: int) -> tuple[Graph, int] | None:
@@ -524,6 +517,13 @@ def valences(g: Graph) -> list[int]:
     return val[1:]
 
 
+# enumerate_graphs refuses a longer listing, as stripe refuses a degree of
+# more than 150,000 graphs; a listing spans every edge count up to max_edges,
+# so 6 vertices with at most 7 edges give 170,544 graphs, while 8 vertices
+# with at most 12 edges would give C(40, 12), about 5.6e9
+ENUMERATE_MAX_GRAPHS = 300_000
+
+
 def enumerate_graphs(n: int, max_edges: int, min_valence: int = 0,
                      connected_only: bool = False) -> list[Graph]:
     """All canonical graphs on exactly n vertices meeting the constraints, sorted.
@@ -532,14 +532,20 @@ def enumerate_graphs(n: int, max_edges: int, min_valence: int = 0,
     of vertex pairs (see _walk_graphs), which emits them in Graph order.
     Edge counts too small for the constraints are never emitted: n vertices
     of valence min_valence need ceil(n * min_valence / 2) edges, a connected
-    graph n - 1.  A negative n raises ValueError.
+    graph n - 1.  A negative n raises ValueError, and so does a listing of
+    more than ENUMERATE_MAX_GRAPHS graphs, as soon as the walk passes that count.
     """
     if n < 0:
         raise ValueError(f"a graph needs n >= 0 vertices, not {n}")
     if n == 0:
         return [UNIT] if not connected_only else []
     least = max(0, -(-n * min_valence // 2), n - 1 if connected_only else 0)
-    return list(_walk_graphs(n, least, max_edges, min_valence, connected_only))
+    walk = _walk_graphs(n, least, max_edges, min_valence, connected_only)
+    out = list(itertools.islice(walk, ENUMERATE_MAX_GRAPHS + 1))
+    if len(out) > ENUMERATE_MAX_GRAPHS:
+        raise ValueError(f"enumerate_graphs lists more than {ENUMERATE_MAX_GRAPHS} graphs "
+                         f"on {n} vertices with at most {max_edges} edges")
+    return out
 
 
 def _walk_graphs(n: int, min_edges: int, max_edges: int, min_valence: int,

@@ -9,8 +9,7 @@ from graphhomology.bialgebra import (
     EmptyLeftError,
     LEAF,
     LengthMismatchError,
-    MagSeries,
-    NonzeroConstantTermError,
+    SERIES_MAX_DEGREE,
     UnitInputError,
     check_compatibility,
     check_interchange,
@@ -39,7 +38,12 @@ from graphhomology.graphs import (
     graph,
     products_of,
 )
-from graphhomology.symplectic import TensorWord, leibniz_differential, word_from_strings
+from graphhomology.symplectic import (
+    TensorWord,
+    leibniz_differential,
+    random_split_word,
+    word_from_strings,
+)
 
 H1 = graph(2, [(1, 2), (1, 2)])
 H = disjoint_union(H1, H1)
@@ -190,13 +194,11 @@ def test_shuffle_multiplicity():
 
 
 def test_series_terms():
-    f = series_f(3)
-    g = series_g(3)
-    assert f.term_map()[3] == LinComb.of((LEAF, (LEAF, LEAF)))
-    assert g.term_map()[3] == LinComb.of(((LEAF, LEAF), LEAF))
-    assert g.term_map()[2] == LinComb.of((LEAF, LEAF), -1)
-    # no other degree-3 shapes appear
-    assert len(f.term_map()[3]) == 1 and len(g.term_map()[3]) == 1
+    # one comb per degree and no other shapes
+    assert series_f(3) == (LinComb.of(LEAF) + LinComb.of((LEAF, LEAF))
+                           + LinComb.of((LEAF, (LEAF, LEAF))))
+    assert series_g(3) == (LinComb.of(LEAF) - LinComb.of((LEAF, LEAF))
+                           + LinComb.of(((LEAF, LEAF), LEAF)))
     assert tree_degree(left_comb(5)) == 5 == tree_degree(right_comb(5))
 
 
@@ -213,10 +215,10 @@ def test_mag_compose_identity_neutral():
     assert mag_compose(identity_series(5), psi, 5) == psi
 
 
-def test_mag_compose_rejects_constant_term():
-    bad = MagSeries.from_dict(3, {0: LinComb.of(LEAF)})
-    with pytest.raises(NonzeroConstantTermError):
-        mag_compose(series_f(3), bad, 3)
+def test_mag_compose_refuses_a_degree_past_its_bound():
+    f, g = series_f(SERIES_MAX_DEGREE + 1), series_g(SERIES_MAX_DEGREE + 1)
+    with pytest.raises(ValueError, match="at most 16 is supported"):
+        mag_compose(f, g, SERIES_MAX_DEGREE + 1)
 
 
 def test_word_cohalf_counts():
@@ -269,17 +271,9 @@ def test_interchange_unsigned_fails_on_worked_word():
 
 def test_interchange_signed_holds():
     rng = random.Random(15)
-    from graphhomology.symplectic import split_S
     for _ in range(25):
-        n_factors = rng.randint(3, 5)
-        shape = [rng.choice((2, 2, 3)) for _ in range(n_factors)]
-        if sum(shape) % 2:
-            shape[0] += 1
-        m = sum(shape) // 2
-        slots = list(range(1, 2 * m + 1))
-        rng.shuffle(slots)
-        pairs = [(slots[2 * k], slots[2 * k + 1]) for k in range(m)]
-        w = split_S(pairs, shape)
+        w = random_split_word(rng)
+        n_factors = len(w.factors)
         for p in range(0, n_factors):
             ok, defect = check_interchange(w, p, n_factors - 1 - p)
             assert ok, (w, p, defect)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -254,11 +255,44 @@ def test_verify_refuses_a_negative_bound_or_no_items(argv, capsys):
     assert captured.err.startswith("usage error:")
 
 
+# blake2b (16-byte) digests of each suite's stdout at its defaults, which
+# pin the bytes every refactor must keep
+SUITE_DIGESTS = {
+    "d2": "7527f02b2d1a4529f294caf51696b291",
+    "contraction": "01f9fe128dd62b6d901c127222e7044e",
+    "bialgebra": "58325002d0315daed84db4a139d110d3",
+    "series": "d94428edb1d494fc927d35b44d1f809d",
+    "interchange": "bd4c52399c5bcf643ffb781dda6e22fe",
+    "commute": "9020bcb6476b27a7c10f60bf2c9c5d1b",
+    "lie-diagram": "28e3354eab2519d5cb3f87896f313596",
+}
+
+
 @pytest.mark.parametrize("suite", SUITES)
 def test_every_suite_passes_at_its_defaults(suite, capsys):
     rc, out = run_cli(["verify", "--suite", suite], capsys)
     assert rc == 0, out
     assert out.strip().endswith("items pass")
+    assert hashlib.blake2b(out.encode(), digest_size=16).hexdigest() == SUITE_DIGESTS[suite]
+
+
+@pytest.mark.parametrize("degree", ["0", "1"])
+def test_verify_series_at_the_truncation_edge(degree, capsys):
+    rc, out = run_cli(["verify", "--suite", "series", "--degree", degree], capsys)
+    assert rc == 0
+    assert out.splitlines()[1:] == ["OK   f∘g = t", "OK   g∘f = t", "all 2 items pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--vertices", "8", "--edges", "12"],
+    ["verify", "--suite", "series", "--degree", "17"],
+])
+def test_an_oversized_listing_or_degree_is_a_usage_error(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
 
 
 def test_verify_contraction_passes(capsys):
