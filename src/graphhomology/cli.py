@@ -198,10 +198,9 @@ def _suite_items(config: argparse.Namespace):
     """Yield (label, ok, note) triples for the selected verification suite."""
     rng = random.Random(config.seed)
     if config.suite == "d2":
-        for n in range(1, config.vertices + 1):
-            for g in graphs.enumerate_graphs(n, config.edges):
-                val = graphs.differential(graphs.differential(LinComb.of(g)))
-                yield _defect_item(repr(g), val)
+        for g in _listed_graphs(config):
+            val = graphs.differential(graphs.differential(LinComb.of(g)))
+            yield _defect_item(repr(g), val)
     elif config.suite == "contraction":
         # the mixed graphs with n <= vertices, e <= edges, by loop order; each
         # stripe runs one degree past the checked ones, as in criterion 07
@@ -242,18 +241,17 @@ def _suite_items(config: argparse.Namespace):
                 _, defect = bialgebra.check_interchange(w, p, q)
                 yield _defect_item(f"word {case} split ({p},{q})", defect)
     elif config.suite == "commute":
-        for g in _bridge_graphs(config):
+        for g in _listed_graphs(config, min_valence=2):
             w = symplectic.graph_to_word(g)
             lhs = symplectic.word_to_graphs(
                 symplectic.leibniz_differential(LinComb.of(w)))
             rhs = graphs.differential(LinComb.of(g))
             yield _defect_item(repr(g), lhs - rhs)
     elif config.suite == "lie-diagram":
-        for n in range(1, config.vertices + 1):
-            for g in graphs.enumerate_graphs(n, config.edges):
-                lhs = graphs.differential(LinComb.of(g)).mapped(graphs.lie_class)
-                rhs = graphs.lie_differential(graphs.lie_class(g))
-                yield _defect_item(repr(g), lhs - rhs)
+        for g in _listed_graphs(config):
+            lhs = graphs.differential(LinComb.of(g)).mapped(graphs.lie_class)
+            rhs = graphs.lie_differential(graphs.lie_class(g))
+            yield _defect_item(repr(g), lhs - rhs)
     else:
         raise SystemExit2(f"unknown suite {config.suite}; choose from {SUITES}")
 
@@ -265,10 +263,15 @@ def _component_pool(max_vertices: int):
     return pool
 
 
-def _bridge_graphs(config: argparse.Namespace):
-    for n in range(1, config.vertices + 1):
-        for g in graphs.enumerate_graphs(n, config.edges, min_valence=2):
-            yield g
+def _listed_graphs(config: argparse.Namespace, min_valence: int = 0) -> list:
+    """The graphs with 1..vertices vertices and at most edges edges.
+
+    Every listing is built, and so sized against ENUMERATE_MAX_GRAPHS,
+    before a suite checks its first graph, so an oversized bound is refused
+    at once rather than after the smaller vertex counts are checked.
+    """
+    return [g for n in range(1, config.vertices + 1)
+            for g in graphs.enumerate_graphs(n, config.edges, min_valence=min_valence)]
 
 
 def _cmd_verify(config: argparse.Namespace):

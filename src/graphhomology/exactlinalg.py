@@ -16,7 +16,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Container, Hashable, Iterator, Mapping
 
 Rational = int | Fraction
 
@@ -155,9 +156,10 @@ class LinComb:
     def __repr__(self) -> str:
         if not self._terms:
             return "LinComb(0)"
-        bits = [f"{v}*{k!r}" for k, v in sorted(
-            self._terms.items(), key=lambda kv: repr(kv[0]))]
-        return "LinComb(" + " + ".join(bits) + ")"
+        # each key's repr is computed once; ties keep insertion order
+        terms = sorted(((repr(k), v) for k, v in self._terms.items()),
+                       key=itemgetter(0))
+        return "LinComb(" + " + ".join(f"{v}*{r}" for r, v in terms) + ")"
 
 
 class NotAComplexError(ValueError):
@@ -192,27 +194,6 @@ class SparseMatrix:
                 clean.append(((r, c), val))
         clean.sort()
         return cls(rows, cols, tuple(clean))
-
-    @classmethod
-    def from_dense(cls, dense: Iterable[Iterable]) -> "SparseMatrix":
-        dense = [list(row) for row in dense]
-        rows = len(dense)
-        cols = len(dense[0]) if dense else 0
-        entries = {}
-        for r, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged dense matrix")
-            for c, val in enumerate(row):
-                val = rational(val)
-                if val:
-                    entries[(r, c)] = val
-        return cls.from_entries(rows, cols, entries)
-
-    def to_dense(self) -> list[list[Rational]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), val in self.entries:
-            out[r][c] = val
-        return out
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """self @ other (apply other first)."""

@@ -18,19 +18,27 @@ contributes -1; these re-orientation signs are exactly the ones the graph
 differential carries, which makes the word-to-graph square commute.  The
 keys of ``tstar`` are standard pair monomials, which are `ChordDiagram`s.
 
-`word_to_graphs` packages each monomial by the word's factor degrees, and a
-packaged class is held as its graph, so the bridge lands in the graph
-complex directly.  `graph_to_word` is a section of it: `split_S` of the
-graph's canonical pairing, cut by its valences.
+`word_to_graphs` is ``tstar`` followed by `diagrams.package` by the word's
+factor degrees, and a packaged class is held as its graph, so the bridge
+lands in the graph complex directly.  It is computed in closed form, without
+listing matchings: a couple p_i in factor a and q_i in factor b is the edge
+(min(a, b), max(a, b)), a couple inside one factor kills the matching, and
+the sign is (-1)^(number of couples whose q sits in an earlier factor than
+its p), since across factors the position order of ``tstar`` is factor
+order.  An index occurring k times sums over the k! bijections between its
+p-factors and its q-factors.  `graph_to_word` is a section of it: `split_S`
+of the graph's canonical pairing, cut by its valences.  A `TensorWord`, like
+a `Graph`, is an immutable value that hashes once.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
+from functools import total_ordering
 
 from .exactlinalg import LinComb, Rational
-from .diagrams import BadShapeError, ChordDiagram, _shape_parts, package, varphi_inverse
+from .diagrams import BadShapeError, ChordDiagram, _shape_parts, varphi_inverse
 from .graphs import Graph, valences
 
 __all__ = [
@@ -132,11 +140,44 @@ def symplectic_form(u: int, v: int) -> int:
     return 0
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class TensorWord:
-    """Ordered tensor of monomials; the empty word is the unit."""
+    """Ordered tensor of monomials; the empty word is the unit.
 
-    factors: tuple[Monomial, ...]
+    An immutable value ordered and compared by its factors, equal only to
+    another TensorWord.  Its hash, hash((factors,)), is computed once, when
+    it is built, because words are the keys of the Leibniz differential's
+    combinations.  Pickling and copying rebuild it through __reduce__.
+    """
+
+    __slots__ = ("factors", "_hash")
+
+    def __init__(self, factors: tuple[Monomial, ...]) -> None:
+        # the slot setters bypass __setattr__, which refuses every assignment
+        _set_factors(self, factors)
+        _set_hash(self, hash((factors,)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TensorWord is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TensorWord is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return TensorWord, (self.factors,)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not TensorWord:
+            return NotImplemented
+        return self._hash == other._hash and self.factors == other.factors
+
+    def __lt__(self, other):
+        if other.__class__ is not TensorWord:
+            return NotImplemented
+        return self.factors < other.factors
 
     def degree_shape(self) -> tuple[int, ...]:
         return tuple(len(f) for f in self.factors)
@@ -145,6 +186,9 @@ class TensorWord:
         if not self.factors:
             return "TensorWord(1)"
         return "TensorWord(" + " | ".join(_monomial_str(f) for f in self.factors) + ")"
+
+
+_set_factors, _set_hash = TensorWord.factors.__set__, TensorWord._hash.__set__
 
 
 UNIT_WORD = TensorWord(())
@@ -166,14 +210,20 @@ def leibniz_differential(x: LinComb) -> LinComb:
     """d(g_1⊗...⊗g_n) = sum_{i<j} (-1)^j g_1⊗...⊗{g_i,g_j}@i...⊗ĝ_j⊗...⊗g_n.
 
     Each bracket {g_i, g_j} of two monomials is taken in closed form (see
-    `poisson_bracket`), and the terms of a word are summed in one dict.
+    `poisson_bracket`), and the terms of a word are summed in one dict.  A
+    bracket vanishes unless g_j holds the conjugate of a generator of g_i,
+    so each factor's conjugates are collected once and the other pairs are
+    skipped.
     """
     def per_word(w: TensorWord) -> LinComb:
         out: dict[TensorWord, int] = {}
         fs = w.factors
+        conjugates = [{g ^ 1 for g in f} for f in fs]
         for j in range(2, len(fs) + 1):
             sign = (-1) ** j
             for i in range(1, j):
+                if conjugates[i - 1].isdisjoint(fs[j - 1]):
+                    continue
                 for mono, c in _bracket_monomials(fs[i - 1], fs[j - 1]).items():
                     key = TensorWord(fs[:i - 1] + (mono,) + fs[i:j - 1] + fs[j:])
                     out[key] = out.get(key, 0) + sign * c
@@ -256,17 +306,70 @@ def random_split_word(rng, min_factors: int = 3, max_factors: int = 5) -> Tensor
     return split_S(pairs, shape)
 
 
+def _bijections(ps: list[int], qs: list[int]) -> list[tuple[int, list[tuple[int, int]]]]:
+    """(sign, edges) of each bijection from one index's p-factors to its
+    q-factors that joins no factor to itself (see `word_to_graphs`)."""
+    out = []
+    for matched in itertools.permutations(qs):
+        if any(a == b for a, b in zip(ps, matched)):
+            continue
+        out.append(((-1) ** sum(b < a for a, b in zip(ps, matched)),
+                    [(min(a, b), max(a, b)) for a, b in zip(ps, matched)]))
+    return out
+
+
 def _word_to_graphs_single(w: TensorWord) -> LinComb:
-    shape = w.degree_shape()
-    if any(k < 2 for k in shape):
-        raise ValueError(f"factor degrees {shape} must all be >= 2")
-    return tstar(w).mapped(lambda d: package(d, shape))
+    factors = w.factors
+    if any(len(f) < 2 for f in factors):
+        raise ValueError(f"factor degrees {w.degree_shape()} must all be >= 2")
+    ends: dict[int, list[int]] = {}  # generator -> its factors, with multiplicity
+    for a, f in enumerate(factors, start=1):
+        for g in f:
+            ends.setdefault(g, []).append(a)
+    sign, edges, repeated = 1, [], []
+    for g, ps in ends.items():
+        qs = ends.get(g ^ 1)
+        if qs is None or len(qs) != len(ps):
+            return LinComb.zero()
+        if g & 1:
+            continue
+        if len(ps) > 1:
+            repeated.append(_bijections(ps, qs))
+            continue
+        a, b = ps[0], qs[0]
+        if a == b:
+            return LinComb.zero()
+        if b < a:
+            sign = -sign
+            a, b = b, a
+        edges.append((a, b))
+    out: dict[Graph, int] = {}
+    for choice in itertools.product(*repeated):
+        term_sign, term_edges = sign, edges.copy()
+        for s, es in choice:
+            term_sign *= s
+            term_edges += es
+        term_edges.sort()
+        key = Graph(len(factors), tuple(term_edges))
+        out[key] = out.get(key, 0) + term_sign
+    return LinComb._adopt({key: c for key, c in out.items() if c})
 
 
 def word_to_graphs(x: LinComb | TensorWord) -> LinComb:
-    """The composite word -> monomials (= chord diagrams) -> packaged classes.
+    """The composite word -> monomials (= chord diagrams) -> packaged classes,
+    in closed form.
 
-    A packaged class is held as its graph, so `package` ends the bridge.
+    `tstar` sums over the matchings of each p_i with a q_i, and `diagrams.package`
+    turns a matching into the graph with one vertex per factor and one edge
+    per couple.  So a couple p_i in factor a, q_i in factor b gives the edge
+    (min(a, b), max(a, b)), and a couple inside one factor kills the
+    matching.  `tstar` signs a couple -1 when its q comes first in position
+    order, and across factors position order is factor order, so a matching
+    has sign (-1)^(number of couples whose q sits in an earlier factor than
+    its p).  An index occurring k times sums over the k! bijections between
+    its p-factors and its q-factors, and the product runs over the indices;
+    a word with each index once gives exactly one graph.  Unequal p and q
+    counts give zero, and a factor of degree < 2 is refused.
     """
     if isinstance(x, TensorWord):
         x = LinComb.of(x)

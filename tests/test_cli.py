@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from graphhomology import bialgebra, cli, homotopy, symplectic
+from graphhomology import bialgebra, cli, graphs, homotopy, symplectic
 from graphhomology.cli import SUITES, main
 from graphhomology.exactlinalg import ChainContraction, homology_dims
 from test_bialgebra import check_interchange_unsigned
@@ -109,6 +109,12 @@ def test_convert_graph_word_round_trip(tmp_path, capsys):
     ("diagram", "monomial", D_REC, [{"coeff": "1", "monomial": {"pairs": WORKED_PAIRS}}]),
     ("graph", "diagram", G_REC, {"pairs": WORKED_PAIRS, "shape": [3, 3, 2]}),
     ("monomial", "word", D_REC, ["p1 p2 p3", "q1 q3 p4", "q2 q4"]),
+    # repeated generators: both bijections of index 1 give the same graph,
+    # and in the second word index 2's couple is reversed
+    ("word", "graph", ["p1 p1 p2", "q1 q1 q2"],
+     [{"coeff": "2", "graph": {"n": 2, "edges": [[1, 2], [1, 2], [1, 2]]}}]),
+    ("word", "graph", ["p1 q2 p1", "q1 p2 q1"],
+     [{"coeff": "-2", "graph": {"n": 2, "edges": [[1, 2], [1, 2], [1, 2]]}}]),
 ])
 def test_convert_route_prints_exact_json(src, dst, payload, expected, tmp_path, capsys):
     path = write_json(tmp_path, "in.json", payload)
@@ -293,6 +299,21 @@ def test_an_oversized_listing_or_degree_is_a_usage_error(argv, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("suite", ["d2", "commute", "lie-diagram"])
+def test_verify_refuses_an_oversized_listing_before_any_check(suite, capsys, monkeypatch):
+    # the listings with n <= 4 fit; the one at n = 5 passes ENUMERATE_MAX_GRAPHS
+    def differential(*args, **kwargs):
+        raise AssertionError("a graph was checked")
+
+    monkeypatch.setattr(graphs, "differential", differential)
+    rc = main(["verify", "--suite", suite, "--vertices", "9", "--edges", "12"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("usage error: enumerate_graphs lists more than 300000 graphs "
+                            "on 5 vertices with at most 12 edges\n")
 
 
 def test_verify_contraction_passes(capsys):

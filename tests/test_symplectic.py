@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from graphhomology.exactlinalg import LinComb
-from graphhomology.diagrams import ChordDiagram
+from graphhomology.diagrams import ChordDiagram, package
 from graphhomology.graphs import differential, disjoint_union, enumerate_graphs, graph
 from graphhomology.symplectic import (
     BadShapeError,
@@ -21,6 +23,7 @@ from graphhomology.symplectic import (
     split_S,
     symplectic_form,
     tstar,
+    word,
     word_from_strings,
     word_to_graphs,
     word_to_strings,
@@ -218,7 +221,7 @@ def test_tstar_of_differential_collapses():
 
 
 def test_tstar_section_property():
-    from graphhomology.diagrams import all_pairings, package
+    from graphhomology.diagrams import all_pairings
 
     def compositions(total, min_part=2):
         if total == 0:
@@ -260,6 +263,94 @@ def test_split_S_refuses_non_integer_shape_parts():
 
 def test_word_to_graphs_worked():
     assert word_to_graphs(W_EX) == LinComb.of(G_EX)
+
+
+def _word_to_graphs_oracle(w: TensorWord) -> LinComb:
+    """The bridge as a composite: every matching by `tstar`, then `package`."""
+    shape = w.degree_shape()
+    if any(k < 2 for k in shape):
+        raise ValueError(f"factor degrees {shape} must all be >= 2")
+    return tstar(w).mapped(lambda d: package(d, shape))
+
+
+def _words_with_repeated_generators(rng, count):
+    """Split words whose indices are merged onto p1..q3, so that couples
+    repeat, and as many words of random generators, mostly unbalanced."""
+    for _ in range(count):
+        w = random_split_word(rng, max_factors=4)
+        merge = {i: rng.randint(1, 3) for i in range(1, 10)}
+        yield word([[2 * merge[g >> 1] + (g & 1) for g in f] for f in w.factors])
+        yield word([[gen(rng.choice("pq"), rng.randint(1, 3))
+                     for _ in range(rng.randint(2, 4))]
+                    for _ in range(rng.randint(1, 4))])
+
+
+def test_word_to_graphs_matches_tstar_then_package():
+    rng = random.Random(21)
+    words = [W_EX] + [random_split_word(rng) for _ in range(50)]
+    words += [t for w in words[:20] for t, _ in leibniz_differential(LinComb.of(w)).items()]
+    words += list(_words_with_repeated_generators(rng, 400))
+    nonzero = large = 0
+    for w in words:
+        got = word_to_graphs(w)
+        assert got == _word_to_graphs_oracle(w), w
+        assert all(c for _, c in got.items())
+        nonzero += not got.is_zero()
+        large += any(abs(c) > 1 for _, c in got.items())
+    assert nonzero >= 300 and large >= 100
+
+
+def test_word_to_graphs_edge_cases():
+    # a degree-1 factor is refused before the unequal p/q counts give zero
+    for texts in (["p1", "q1"], ["p1", "p2 q3"], ["p1 q1", "q2"]):
+        with pytest.raises(ValueError):
+            word_to_graphs(word_from_strings(texts))
+    assert word_to_graphs(UNIT_WORD) == LinComb.of(graph(0, []))
+    assert word_to_graphs(word_from_strings(["p1 p2", "q1 p3"])).is_zero()
+    assert word_to_graphs(word_from_strings(["p1 q1", "p2 q2"])).is_zero()
+    triple = graph(2, [(1, 2)] * 3)
+    # index 1 has two bijections; index 2's couple is reversed
+    assert word_to_graphs(word_from_strings(["p1 q2 p1", "q1 p2 q1"])) == \
+        LinComb.of(triple, -2)
+    # index 1's couples are reversed twice in both bijections
+    assert word_to_graphs(word_from_strings(["q1 q1 p2", "p1 p1 q2"])) == \
+        LinComb.of(triple, 2)
+    # of index 1's two bijections one joins each factor to itself, and the
+    # other reverses one couple
+    assert word_to_graphs(word_from_strings(["p1 q1 p2", "p1 q1 q2"])) == \
+        LinComb.of(triple, -1)
+
+
+def test_tensor_word_is_an_immutable_value():
+    for w in (W_EX, UNIT_WORD):
+        for back in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w), copy.copy(w)):
+            assert type(back) is TensorWord and back == w and hash(back) == hash(w)
+            assert repr(back) == repr(w)
+    assert hash(W_EX) == hash((W_EX.factors,))
+    with pytest.raises(AttributeError):
+        W_EX.factors = ()
+    with pytest.raises(AttributeError):
+        del W_EX.factors
+    rng = random.Random(23)
+    words = [UNIT_WORD, W_EX] + [random_split_word(rng, max_factors=3) for _ in range(30)]
+    # distinct objects with fresh factor tuples, compared by value
+    copies = [TensorWord(tuple(tuple(f) for f in w.factors)) for w in words]
+    for a in words:
+        for b in copies:
+            same = a.factors == b.factors
+            assert (a == b) is same and (a != b) is not same
+            assert (a < b) is (a.factors < b.factors)
+            if same:
+                assert hash(a) == hash(b)
+    shuffled = copies[::-1]
+    rng.shuffle(shuffled)
+    assert sorted(shuffled) == sorted(words, key=lambda w: w.factors)
+    for other in (W_EX.factors, (W_EX.factors,), G_EX):
+        assert W_EX != other and not (W_EX == other)
+        with pytest.raises(TypeError):
+            W_EX < other
+        with pytest.raises(TypeError):
+            other < W_EX
 
 
 def test_word_to_graphs_rejects_low_degree_factor():
