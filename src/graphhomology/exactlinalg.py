@@ -37,11 +37,18 @@ __all__ = [
 
 
 def rational(value) -> Rational:
-    """Coerce to an exact scalar: ints and Fractions unchanged, "p/q" to a Fraction."""
+    """Coerce to an exact scalar: ints and Fractions unchanged, "p/q" to a Fraction.
+
+    A string that is not a rational, a zero denominator among them, raises
+    ValueError.
+    """
     if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -240,11 +247,13 @@ def _eliminate(m: SparseMatrix, skip_rows: Container[int] = (),
     """Fraction-free elimination of the rows of m outside ``skip_rows``.
 
     Yields (pivot column, pivot row, transform) per pivot; their number is
-    the rank of those rows.  Each row is first scaled to integers by the lcm
-    of its denominators.  Eliminating with pivot row p (pivot value pv)
-    replaces a row r holding the pivot column with value f by
-    (pv/g)·r - (f/g)·p, g = gcd(f, pv), divided by its content (Bareiss,
-    Math. Comp. 1968, without the determinant bookkeeping).  Every integer
+    the rank of those rows.  The entries are grouped into rows once, and
+    each row is then scaled in place to integers by the lcm of its
+    denominators, so no second copy of the rows is held.  Eliminating with
+    pivot row p (pivot value pv) replaces a row r holding the pivot column
+    with value f by (pv/g)·r - (f/g)·p, g = gcd(f, pv), divided by its
+    content (Bareiss, Math. Comp. 1968, without the determinant
+    bookkeeping).  Every integer
     row is a nonzero multiple of the row Fraction elimination would hold,
     so supports, pivots and the rank agree with it.
 
@@ -258,12 +267,12 @@ def _eliminate(m: SparseMatrix, skip_rows: Container[int] = (),
     row and transform together, so row = Σ_s T[s]·m_s exactly.  Without it
     the transform is None.
     """
-    acc: dict[int, dict[int, Rational]] = {}
+    rows: dict[int, dict[int, Rational]] = {}
     for (r, c), val in m.entries:
         if r not in skip_rows:
-            acc.setdefault(r, {})[c] = val
-    rows, trans = {}, {}
-    for r, row in acc.items():
+            rows.setdefault(r, {})[c] = val
+    trans = {}
+    for r, row in rows.items():
         den = math.lcm(*(val.denominator for val in row.values()))
         rows[r] = {c: int(val * den) for c, val in row.items()}
         if transforms:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from fractions import Fraction
 
 from .exactlinalg import ChainComplexSlice, SparseMatrix
 from .graphs import (
@@ -68,22 +67,30 @@ def slice_from_bases(bases: dict[int, list[Graph]], diff=differential_graph,
     outside the target basis are an error unless ``project`` is set (then the
     slice computes the quotient/projected differential).  Every degree is
     marked complete: each basis must hold every graph of its degree.
+
+    Each matrix is built once, from one sorted list of entries: a column's
+    terms come from one `LinComb`, so each target row appears once in it
+    with a nonzero coefficient, and rows and columns are basis indices, so
+    every entry is in range.  The top degree is never a target, so it gets
+    no index.
     """
-    degrees = (min(bases), max(bases))
-    index = {k: {g: i for i, g in enumerate(bs)} for k, bs in bases.items()}
+    lo, hi = min(bases), max(bases)
+    index = {k: {g: i for i, g in enumerate(bases[k])} for k in range(lo, hi)}
     d: dict[int, SparseMatrix] = {}
-    for k in range(degrees[0] + 1, degrees[1] + 1):
-        entries: dict[tuple[int, int], int | Fraction] = {}
+    for k in range(lo + 1, hi + 1):
+        entries = []
         target = index[k - 1]
         for col, g in enumerate(bases[k]):
             for term, coeff in diff(g).items():
-                if term not in target:
+                row = target.get(term)
+                if row is None:
                     if project:
                         continue
                     raise ValueError(f"differential leaves the basis: {term} from {g}")
-                entries[(target[term], col)] = coeff
-        d[k] = SparseMatrix.from_entries(len(bases[k - 1]), len(bases[k]), entries)
-    return ChainComplexSlice(degrees, {k: tuple(v) for k, v in bases.items()},
+                entries.append(((row, col), coeff))
+        entries.sort()
+        d[k] = SparseMatrix(len(bases[k - 1]), len(bases[k]), tuple(entries))
+    return ChainComplexSlice((lo, hi), {k: tuple(v) for k, v in bases.items()},
                              d, {k: True for k in bases})
 
 

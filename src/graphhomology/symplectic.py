@@ -34,7 +34,9 @@ a `Graph`, is an immutable value that hashes once.
 from __future__ import annotations
 
 import itertools
+import math
 import re
+from collections import Counter
 from functools import total_ordering
 
 from .exactlinalg import LinComb, Rational
@@ -61,6 +63,7 @@ __all__ = [
     "graph_to_word",
     "matrix_sum_product",
     "BadShapeError",
+    "WORD_MAX_MATCHINGS",
 ]
 
 
@@ -231,6 +234,21 @@ def leibniz_differential(x: LinComb) -> LinComb:
     return x.mapped(per_word)
 
 
+# tstar and word_to_graphs refuse a word with more matchings: an index
+# occurring k times has k! of them, p1^9 | q1^9 takes seconds, and each
+# further power multiplies the time by about k + 1, so p1^12 | q1^12 would
+# run for hours
+WORD_MAX_MATCHINGS = 362_880
+
+
+def _refuse_many_matchings(sizes) -> None:
+    """Raise ValueError if prod k! over the sizes k exceeds WORD_MAX_MATCHINGS."""
+    count = math.prod(map(math.factorial, sizes))
+    if count > WORD_MAX_MATCHINGS:
+        raise ValueError(f"the word has {count} matchings of its p_i with its q_i, "
+                         f"more than {WORD_MAX_MATCHINGS}")
+
+
 def _flatten(w: TensorWord) -> list[int]:
     letters: list[int] = []
     for f in w.factors:
@@ -244,11 +262,15 @@ def tstar(w: TensorWord) -> LinComb:
     Only matchings pairing each p_k with a q_k survive; the coefficient is
     the product of form values on (position-min, position-max) ordered pairs.
     Each matching is built in sorted order, so it is its own monomial key, a
-    ChordDiagram.  Odd total degree yields the empty combination.
+    ChordDiagram.  Odd total degree yields the empty combination.  A word
+    whose indices, each counted min(#p_i, #q_i) times, give more than
+    WORD_MAX_MATCHINGS matchings raises ValueError before any is listed.
     """
     letters = _flatten(w)
     if len(letters) % 2:
         return LinComb.zero()
+    counts = Counter(letters)
+    _refuse_many_matchings(min(k, counts[g ^ 1]) for g, k in counts.items() if not g & 1)
 
     out: dict[ChordDiagram, int] = {}
 
@@ -334,7 +356,7 @@ def _word_to_graphs_single(w: TensorWord) -> LinComb:
         if g & 1:
             continue
         if len(ps) > 1:
-            repeated.append(_bijections(ps, qs))
+            repeated.append((ps, qs))
             continue
         a, b = ps[0], qs[0]
         if a == b:
@@ -343,6 +365,9 @@ def _word_to_graphs_single(w: TensorWord) -> LinComb:
             sign = -sign
             a, b = b, a
         edges.append((a, b))
+    if repeated:
+        _refuse_many_matchings(len(ps) for ps, _ in repeated)
+        repeated = [_bijections(ps, qs) for ps, qs in repeated]
     out: dict[Graph, int] = {}
     for choice in itertools.product(*repeated):
         term_sign, term_edges = sign, edges.copy()
@@ -369,7 +394,8 @@ def word_to_graphs(x: LinComb | TensorWord) -> LinComb:
     its p).  An index occurring k times sums over the k! bijections between
     its p-factors and its q-factors, and the product runs over the indices;
     a word with each index once gives exactly one graph.  Unequal p and q
-    counts give zero, and a factor of degree < 2 is refused.
+    counts give zero, and a factor of degree < 2 is refused, and so is a
+    word with more than WORD_MAX_MATCHINGS matchings, before any is listed.
     """
     if isinstance(x, TensorWord):
         x = LinComb.of(x)

@@ -153,6 +153,8 @@ def test_convert_route_prints_exact_json(src, dst, payload, expected, tmp_path, 
     (["convert", "--from", "monomial", "--to", "diagram"],
      {"shape": False, "pairs": [[1, 2]]}),
     (["convert", "--from", "monomial", "--to", "diagram"], {"shape": "", "pairs": [[1, 2]]}),
+    # a zero denominator is not a rational
+    (["diff"], [{"coeff": "1/0", "graph": G_REC}]),
 ])
 def test_malformed_input_is_a_usage_error(argv, payload, tmp_path, capsys):
     path = write_json(tmp_path, "bad.json", payload)
@@ -222,6 +224,23 @@ def test_homology_refuses_an_oversized_stripe(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("usage error: the core stripe at loop 4 has more than "
                             "150000 graphs in degree 8\n")
+
+
+@pytest.mark.parametrize("stage", ["monomial", "graph"])
+def test_convert_refuses_a_word_with_too_many_matchings(stage, tmp_path, capsys, monkeypatch):
+    # p1^10 | q1^10 has 10! matchings, more than symplectic.WORD_MAX_MATCHINGS
+    def enumerate_matchings(*args, **kwargs):
+        raise AssertionError("a matching was listed")
+
+    monkeypatch.setattr(symplectic, "_bijections", enumerate_matchings)
+    monkeypatch.setattr(symplectic, "symplectic_form", enumerate_matchings)
+    path = write_json(tmp_path, "w.json", ["p1^10", "q1^10"])
+    rc = main(["convert", "--from", "word", "--to", stage, "--input", path])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("usage error: the word has 3628800 matchings of its p_i "
+                            "with its q_i, more than 362880\n")
 
 
 def test_enumerate_refuses_negative_vertices(capsys):

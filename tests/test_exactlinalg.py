@@ -141,6 +141,9 @@ def test_rational_round_trip():
     assert str(q) == "-7/2" and rational(str(q)) == q
     with pytest.raises(TypeError):
         rational(0.5)
+    for text in ("1/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rational(text)
 
 
 def test_lincomb_cancellation_and_identity():

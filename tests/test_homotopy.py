@@ -2,10 +2,16 @@ import itertools
 
 import pytest
 
-from graphhomology.exactlinalg import LinComb, chain_contraction, homology_dims
+from graphhomology.exactlinalg import (
+    LinComb,
+    SparseMatrix,
+    chain_contraction,
+    homology_dims,
+)
 from graphhomology.graphs import (
     Graph,
     differential,
+    differential_graph,
     enumerate_graphs,
     graph,
     valences,
@@ -14,6 +20,7 @@ from graphhomology.homotopy import (
     Classification,
     classify,
     polygon_complex,
+    slice_from_bases,
     stripe,
 )
 
@@ -157,3 +164,38 @@ def test_stripe_refuses_an_oversized_degree():
     # loop 4 has 484,698 min-valence-2 graphs at n = 6
     with pytest.raises(ValueError, match="more than 150000 graphs in degree 6"):
         stripe("all", 4, 7)
+
+
+def _slice_oracle(bases, project):
+    """Each differential as a dict of (row, col) entries, through from_entries."""
+    d = {}
+    for k in range(min(bases) + 1, max(bases) + 1):
+        target = {g: i for i, g in enumerate(bases[k - 1])}
+        entries = {}
+        for col, g in enumerate(bases[k]):
+            for term, coeff in differential_graph(g).items():
+                if term in target:
+                    entries[(target[term], col)] = coeff
+                else:
+                    assert project, term
+        d[k] = SparseMatrix.from_entries(len(bases[k - 1]), len(bases[k]), entries)
+    return d
+
+
+@pytest.mark.parametrize("kind, loop, max_n", [("mixed", 2, 5), ("core", 2, 4)])
+def test_slice_from_bases_matches_dict_oracle(kind, loop, max_n):
+    bases = {k: list(b) for k, b in stripe(kind, loop, max_n).basis.items()}
+    cx = slice_from_bases(bases, project=kind == "mixed")
+    assert cx.d == _slice_oracle(bases, kind == "mixed")
+    assert sum(len(m.entries) for m in cx.d.values()) > 0
+    for m in cx.d.values():
+        keys = [key for key, _ in m.entries]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert all(type(val) is int and val for _, val in m.entries)
+
+
+def test_slice_from_bases_refuses_a_term_outside_the_basis():
+    # contraction sends mixed graphs to core and polygon ones too
+    bases = {k: list(b) for k, b in stripe("mixed", 2, 5).basis.items()}
+    with pytest.raises(ValueError, match="differential leaves the basis"):
+        slice_from_bases(bases)

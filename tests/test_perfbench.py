@@ -5,7 +5,8 @@ a child process; its BENCH_DIR points at a temporary copy of the reference
 data, so the trace file of `--trace 1` lands there.  The traced mode is the
 one that calls every piece of the program that the benchmark names.  Each
 workload checks every item against the hashes in reference.json: lie-orbit
-checks `lie_class`'s representative and sign for every graph it relabels.
+checks `lie_class`'s representative and sign for every graph it relabels,
+and stripe-mixed-l2 each degree's basis size, nonzeros, rank and homology.
 """
 
 import json
@@ -29,7 +30,7 @@ sys.exit(run.main(["--workload", {workload!r}, "--seed", "3",
 """
 
 
-@pytest.mark.parametrize("workload", ["bridge-square", "lie-orbit"])
+@pytest.mark.parametrize("workload", ["bridge-square", "lie-orbit", "stripe-mixed-l2"])
 def test_traced_run_has_no_failed_items(workload, tmp_path):
     shutil.copy(PERFBENCH / "reference.json", tmp_path / "reference.json")
     code = CHILD.format(perfbench=str(PERFBENCH), bench_dir=str(tmp_path),

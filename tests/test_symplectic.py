@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphhomology import symplectic
 from graphhomology.exactlinalg import LinComb
 from graphhomology.diagrams import ChordDiagram, package
 from graphhomology.graphs import differential, disjoint_union, enumerate_graphs, graph
@@ -354,6 +355,25 @@ def test_word_to_graphs_rejects_low_degree_factor():
     for texts in (["p1", "q1"], ["p1", "p2 q3"], ["p1 q1", "q2"]):
         with pytest.raises(ValueError):
             word_to_graphs(word_from_strings(texts))
+
+
+def test_word_with_too_many_matchings_is_refused_before_listing(monkeypatch):
+    # p1^10 | q1^10 has 10! matchings, more than WORD_MAX_MATCHINGS = 9!
+    def enumerate_matchings(*args, **kwargs):
+        raise AssertionError("a matching was listed")
+
+    monkeypatch.setattr(symplectic, "_bijections", enumerate_matchings)
+    monkeypatch.setattr(symplectic, "symplectic_form", enumerate_matchings)
+    w = word_from_strings(["p1^10", "q1^10"])
+    for f in (word_to_graphs, tstar):
+        with pytest.raises(ValueError, match="3628800 matchings"):
+            f(w)
+
+
+def test_word_with_repeated_index_below_the_bound():
+    w = word_from_strings(["p1^3", "q1^3"])
+    assert word_to_graphs(w) == LinComb.of(graph(2, [(1, 2)] * 3), 6)
+    assert len(tstar(w)) == 6
 
 
 def test_commuting_square_exhaustive_small():
