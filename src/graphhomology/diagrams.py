@@ -80,12 +80,12 @@ class ChordDiagram:
 
 def chord_diagram(pairs) -> ChordDiagram:
     """Build a canonical diagram; the pairs must partition {1..2m} exactly."""
-    norm = sorted((min(a, b), max(a, b)) for a, b in pairs)
-    m = len(norm)
-    seen = [s for p in norm for s in p]
-    if sorted(seen) != list(range(1, 2 * m + 1)):
+    written = list(pairs)
+    signed = _signed_pairs(written)
+    m = len(written)
+    if signed is None or sorted(s for p in signed[1] for s in p) != list(range(1, 2 * m + 1)):
         raise ValueError(f"pairs {pairs} do not partition 1..{2 * m}")
-    return ChordDiagram(tuple(norm))
+    return ChordDiagram(signed[1])
 
 
 def pair_monomial(pairs) -> LinComb:
@@ -129,9 +129,10 @@ def package(d: ChordDiagram, shape) -> LinComb:
 
     Shape parts must be ints >= 2 and sum to 2m.  Each package becomes a vertex
     and each chord the edge between its endpoints' packages; a chord with
-    both endpoints in one package annihilates the class.  Packages are
-    increasing slot blocks, so a chord (a, b), a < b, joins packages in
-    that order and its pair is already an edge (i, j), i < j.
+    both endpoints in one package annihilates the class (`_signed_pairs`
+    finds it as a loop).  Packages are increasing slot blocks, so a chord
+    (a, b), a < b, joins packages in that order and no edge flips: the
+    class has sign +1.
     """
     shape = _shape_parts(shape)
     if any(k < 2 for k in shape) or sum(shape) != 2 * d.m:
@@ -139,12 +140,10 @@ def package(d: ChordDiagram, shape) -> LinComb:
     owner = [0]
     for k, size in enumerate(shape, start=1):
         owner.extend([k] * size)
-    edges = []
-    for a, b in d.pairs:
-        if owner[a] == owner[b]:
-            return LinComb.zero()
-        edges.append((owner[a], owner[b]))
-    return LinComb.of(Graph(len(shape), tuple(sorted(edges))))
+    signed = _signed_pairs((owner[a], owner[b]) for a, b in d.pairs)
+    if signed is None:
+        return LinComb.zero()
+    return LinComb.of(Graph(len(shape), signed[1]))
 
 
 def varphi_inverse(g: Graph) -> ChordDiagram:

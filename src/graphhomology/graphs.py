@@ -23,10 +23,11 @@ isomorphism, II", J. Symb. Comput. 2014): a sorted edge tuple is smallest
 exactly when the edge-multiplicity vector (m12, m13, .., m23, ..) is
 largest, so each label is chosen to maximise the next row of that vector,
 and every partial labelling that ties with the best is kept.  Every leaf of
-the search relabels the graph to the same representative, so it is built
-once and each leaf gives only its sign.  Twin vertices (equal multiplicities
-to all others) give transpositions that either annihilate the class at once
-or may be skipped in the search.  The n! enumeration it replaces is the test
+the search relabels the graph to the same representative: `_signed_pairs`
+of a leaf's relabelled edges gives its sign, and the last leaf's sorted
+pairs are the representative.  Twin vertices (equal multiplicities to all
+others) give transpositions that either annihilate the class at once or may
+be skipped in the search.  The n! enumeration it replaces is the test
 oracle `_lie_orbit_min`.
 
 Bases come from one depth-first walk over nondecreasing sequences of
@@ -153,16 +154,15 @@ def graph(n: int, edges) -> Graph:
     """Build a canonical Graph, sorting pairs and the multiset; loops rejected."""
     if n < 0:
         raise BadVertexError(f"a graph needs n >= 0 vertices, not {n}")
-    norm = []
+    written = []
     for e in edges:
         i, j = e
         if i == j:
             raise ValueError(f"loop at vertex {i}; loops are not graph basis elements")
         if not (1 <= i <= n and 1 <= j <= n):
             raise BadVertexError(f"edge {e} outside vertex range 1..{n}")
-        norm.append((min(i, j), max(i, j)))
-    norm.sort()
-    return Graph(n, tuple(norm))
+        written.append((i, j))
+    return Graph(n, _signed_pairs(written)[1])
 
 
 UNIT = Graph(0, ())
@@ -171,17 +171,24 @@ UNIT = Graph(0, ())
 def _signed_pairs(pairs) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     """(sign, sorted (low, high) pairs) of written pairs, or None if one is a loop.
 
-    Each pair written high end first flips, contributing -1.
+    Each pair written high end first flips, contributing -1.  This is the one
+    orientation step: `graph`, `canonicalize`, `sigma_act`, `lie_class`,
+    `diagrams.chord_diagram`, `pair_monomial`, `sigma_act_diagram`,
+    `package`, `symplectic.tstar` and `word_to_graphs` all take their pairs
+    from it.  `_contract` keeps its own count: it is the stripe's hot path,
+    builds the contracted edges in the same pass, and knows that only the
+    edges (a, j) with i < a < j can flip.
     """
     sign = 1
     norm = []
     for a, b in pairs:
-        if a == b:
-            return None
-        if a > b:
+        if a < b:
+            norm.append((a, b))
+        elif a > b:
             sign = -sign
-            a, b = b, a
-        norm.append((a, b))
+            norm.append((b, a))
+        else:
+            return None
     norm.sort()
     return sign, tuple(norm)
 
@@ -424,8 +431,8 @@ def lie_class(g: Graph) -> LinComb:
     the level's best survive.  A singleton cell, or a cell whose vertices all
     have one multiplicity to v, passes through whole.  All survivors share
     the prefix of the vector, so the search is exact and its leaves are
-    every minimising relabelling: they give one representative, built once,
-    and each leaf only its sign, sgn(σ) times (-1)^(#reversed edges).
+    every minimising relabelling: they give one representative, and each
+    leaf the sign sgn(σ) times (-1)^(#reversed edges), from `_signed_pairs`.
     Twins (see _twin_classes) with even multiplicity between them annihilate
     the graph at once; with odd multiplicity they give a +1 automorphism that
     fixes the partial labelling, so the search branches on one vertex of
@@ -490,15 +497,12 @@ def lie_class(g: Graph) -> LinComb:
         label = [0] * (g.n + 1)
         for k, v in enumerate(order, 1):
             label[v] = k
-        sign = perm_sign(label[1:])
-        reversed_edges = sum(label[a] > label[b] for a, b in g.edges)
-        signs.add(-sign if reversed_edges % 2 else sign)
+        flips, edges = _signed_pairs((label[a], label[b]) for a, b in g.edges)
+        signs.add(perm_sign(label[1:]) * flips)
     if len(signs) == 2:
         return LinComb.zero()
     # every leaf relabels g to the orbit minimum, so the last one gives it
-    pairs = [(label[a], label[b]) for a, b in g.edges]
-    rep = Graph(g.n, tuple(sorted([(a, b) if a < b else (b, a) for a, b in pairs])))
-    return LinComb.of(GraphClass(rep), signs.pop())
+    return LinComb.of(GraphClass(Graph(g.n, edges)), signs.pop())
 
 
 def lie_differential(x: LinComb) -> LinComb:

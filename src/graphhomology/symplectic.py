@@ -9,26 +9,31 @@ bracket of two monomials is taken in closed form: {a, b} sums, over the
 distinct p_i of a, c_a(p_i)·c_b(q_i) times the product of a less one p_i
 and b less one q_i, and subtracts the same with a and b swapped, where
 c_x(g) is the multiplicity of g in x.  `poisson_bracket` and
-`leibniz_differential` are its linear extensions.  The pairing
-evaluation ``tstar`` flattens a word (factor by factor, each factor in
-canonical generator order) and sums over all perfect matchings whose pairs
-are conjugate couples (p_k with q_k), weighting each pair by the symplectic
-form evaluated in position order.  A couple whose q precedes its p therefore
-contributes -1; these re-orientation signs are exactly the ones the graph
-differential carries, which makes the word-to-graph square commute.  The
-keys of ``tstar`` are standard pair monomials, which are `ChordDiagram`s.
+`leibniz_differential` are its linear extensions.
+
+The pairing evaluation ``tstar`` flattens a word (factor by factor, each
+factor in canonical generator order) and sums over all perfect matchings
+whose pairs are conjugate couples (p_k with q_k), each weighted by the
+symplectic form evaluated in position order.  A couple whose q precedes its
+p therefore contributes -1; these re-orientation signs are exactly the ones
+the graph differential carries, which makes the word-to-graph square
+commute.  The keys of ``tstar`` are standard pair monomials, which are
+`ChordDiagram`s.
 
 `word_to_graphs` is ``tstar`` followed by `diagrams.package` by the word's
 factor degrees, and a packaged class is held as its graph, so the bridge
-lands in the graph complex directly.  It is computed in closed form, without
-listing matchings: a couple p_i in factor a and q_i in factor b is the edge
-(min(a, b), max(a, b)), a couple inside one factor kills the matching, and
-the sign is (-1)^(number of couples whose q sits in an earlier factor than
-its p), since across factors the position order of ``tstar`` is factor
-order.  An index occurring k times sums over the k! bijections between its
-p-factors and its q-factors.  `graph_to_word` is a section of it: `split_S`
-of the graph's canonical pairing, cut by its valences.  A `TensorWord`, like
-a `Graph`, is an immutable value that hashes once.
+lands in the graph complex directly.  Both list their matchings with the
+one enumerator `_matchings`, which pairs the ends of each p_i with those
+of its q_i as written (p end, q end) pairs, and both take a matching's sign
+and sorted pairs from `graphs._signed_pairs`: ``tstar`` with the ends as
+flat slots, `word_to_graphs` with the ends as factors.  Across factors,
+position order is factor order, so the same flips give both signs, and a
+couple inside one factor is a loop, which kills the matching; so
+`word_to_graphs` is `package` ∘ ``tstar`` by construction.  An index
+occurring k times has k! bijections between its p ends and its q ends.
+`graph_to_word` is a section of `word_to_graphs`: `split_S` of the graph's
+canonical pairing, cut by its valences.  A `TensorWord`, like a `Graph`, is
+an immutable value that hashes once.
 """
 
 from __future__ import annotations
@@ -36,12 +41,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
 from functools import total_ordering
+from typing import Iterator
 
 from .exactlinalg import LinComb, Rational
 from .diagrams import BadShapeError, ChordDiagram, _shape_parts, varphi_inverse
-from .graphs import Graph, valences
+from .graphs import Graph, _signed_pairs, valences
 
 __all__ = [
     "Monomial",
@@ -137,7 +142,11 @@ def poisson_bracket(f: LinComb, g: LinComb) -> LinComb:
 
 
 def symplectic_form(u: int, v: int) -> int:
-    """ω(p_i, q_i) = 1, ω(q_i, p_i) = -1, all other generator pairs 0."""
+    """ω(p_i, q_i) = 1, ω(q_i, p_i) = -1, all other generator pairs 0.
+
+    `tstar`'s sign for a matching equals the product of ω over its couples
+    in position order, taken there as `_signed_pairs` of the written pairs.
+    """
     if u ^ v == 1:
         return -1 if u & 1 else 1
     return 0
@@ -249,44 +258,63 @@ def _refuse_many_matchings(sizes) -> None:
                          f"more than {WORD_MAX_MATCHINGS}")
 
 
-def _flatten(w: TensorWord) -> list[int]:
-    letters: list[int] = []
-    for f in w.factors:
-        letters.extend(f)
-    return letters
+def _matchings(ends: dict[int, list[int]]) -> Iterator[list[tuple[int, int]]]:
+    """Each matching of every p_i's ends with its q_i's, lazily, as written
+    (p end, q end) pairs; ``ends`` maps each generator to its ends in
+    position order, with multiplicity.
+
+    There is none when an index has unequal p and q counts, or occurs once
+    with both ends at one place (a loop).  A word whose indices all occur
+    once has exactly one; otherwise a word with more than WORD_MAX_MATCHINGS
+    raises ValueError, and the rest run over each repeated index's bijections.
+    """
+    fixed, repeated = [], []
+    for g, ps in ends.items():
+        qs = ends.get(g ^ 1)
+        if qs is None or len(qs) != len(ps):
+            return
+        if g & 1:
+            continue
+        if len(ps) > 1:
+            repeated.append((ps, qs))
+        elif ps[0] == qs[0]:
+            return
+        else:
+            fixed.append((ps[0], qs[0]))
+    if not repeated:
+        yield fixed
+        return
+    _refuse_many_matchings(len(ps) for ps, _ in repeated)
+    for choice in itertools.product(*(_bijections(ps, qs) for ps, qs in repeated)):
+        yield list(itertools.chain(fixed, *choice))
+
+
+def _bijections(ps: list[int], qs: list[int]) -> list[list[tuple[int, int]]]:
+    """Each bijection of one index's p ends onto its q ends, as written pairs."""
+    return [list(zip(ps, matched)) for matched in itertools.permutations(qs)]
 
 
 def tstar(w: TensorWord) -> LinComb:
-    """Sum over pairings of symplectic-form products, as standard monomials.
+    """Sum over the matchings of each p_i with a q_i, as signed standard monomials.
 
-    Only matchings pairing each p_k with a q_k survive; the coefficient is
-    the product of form values on (position-min, position-max) ordered pairs.
-    Each matching is built in sorted order, so it is its own monomial key, a
-    ChordDiagram.  Odd total degree yields the empty combination.  A word
-    whose indices, each counted min(#p_i, #q_i) times, give more than
-    WORD_MAX_MATCHINGS matchings raises ValueError before any is listed.
+    The flat word's slots are the ends of `_matchings`; a matching's sign and
+    sorted pairs, a ChordDiagram, are `_signed_pairs` of its written
+    (p slot, q slot) pairs.  That sign is the product of `symplectic_form`
+    on each couple in position order: -1 for each couple whose q comes
+    first.  Odd total degree, or unequal p and q counts of an index, give
+    the empty combination; a word with more than WORD_MAX_MATCHINGS
+    matchings raises ValueError before any is listed.
     """
-    letters = _flatten(w)
-    if len(letters) % 2:
-        return LinComb.zero()
-    counts = Counter(letters)
-    _refuse_many_matchings(min(k, counts[g ^ 1]) for g, k in counts.items() if not g & 1)
-
+    ends: dict[int, list[int]] = {}
+    slot = 0
+    for f in w.factors:
+        for g in f:
+            slot += 1
+            ends.setdefault(g, []).append(slot)
     out: dict[ChordDiagram, int] = {}
-
-    def rec(unpaired: tuple[int, ...], acc_pairs, acc_coeff):
-        if not unpaired:
-            out[ChordDiagram(tuple(acc_pairs))] = acc_coeff
-            return
-        a = unpaired[0]
-        for k in range(1, len(unpaired)):
-            b = unpaired[k]
-            w_ab = symplectic_form(letters[a - 1], letters[b - 1])
-            if not w_ab:
-                continue
-            rec(unpaired[1:k] + unpaired[k + 1:], acc_pairs + [(a, b)], acc_coeff * w_ab)
-
-    rec(tuple(range(1, len(letters) + 1)), [], 1)
+    for pairs in _matchings(ends):
+        sign, norm = _signed_pairs(pairs)
+        out[ChordDiagram(norm)] = sign
     return LinComb._adopt(out)
 
 
@@ -328,74 +356,35 @@ def random_split_word(rng, min_factors: int = 3, max_factors: int = 5) -> Tensor
     return split_S(pairs, shape)
 
 
-def _bijections(ps: list[int], qs: list[int]) -> list[tuple[int, list[tuple[int, int]]]]:
-    """(sign, edges) of each bijection from one index's p-factors to its
-    q-factors that joins no factor to itself (see `word_to_graphs`)."""
-    out = []
-    for matched in itertools.permutations(qs):
-        if any(a == b for a, b in zip(ps, matched)):
-            continue
-        out.append(((-1) ** sum(b < a for a, b in zip(ps, matched)),
-                    [(min(a, b), max(a, b)) for a, b in zip(ps, matched)]))
-    return out
-
-
 def _word_to_graphs_single(w: TensorWord) -> LinComb:
     factors = w.factors
     if any(len(f) < 2 for f in factors):
         raise ValueError(f"factor degrees {w.degree_shape()} must all be >= 2")
-    ends: dict[int, list[int]] = {}  # generator -> its factors, with multiplicity
+    ends: dict[int, list[int]] = {}
     for a, f in enumerate(factors, start=1):
         for g in f:
             ends.setdefault(g, []).append(a)
-    sign, edges, repeated = 1, [], []
-    for g, ps in ends.items():
-        qs = ends.get(g ^ 1)
-        if qs is None or len(qs) != len(ps):
-            return LinComb.zero()
-        if g & 1:
-            continue
-        if len(ps) > 1:
-            repeated.append((ps, qs))
-            continue
-        a, b = ps[0], qs[0]
-        if a == b:
-            return LinComb.zero()
-        if b < a:
-            sign = -sign
-            a, b = b, a
-        edges.append((a, b))
-    if repeated:
-        _refuse_many_matchings(len(ps) for ps, _ in repeated)
-        repeated = [_bijections(ps, qs) for ps, qs in repeated]
     out: dict[Graph, int] = {}
-    for choice in itertools.product(*repeated):
-        term_sign, term_edges = sign, edges.copy()
-        for s, es in choice:
-            term_sign *= s
-            term_edges += es
-        term_edges.sort()
-        key = Graph(len(factors), tuple(term_edges))
-        out[key] = out.get(key, 0) + term_sign
+    for pairs in _matchings(ends):
+        signed = _signed_pairs(pairs)
+        if signed is not None:
+            sign, edges = signed
+            key = Graph(len(factors), edges)
+            out[key] = out.get(key, 0) + sign
     return LinComb._adopt({key: c for key, c in out.items() if c})
 
 
 def word_to_graphs(x: LinComb | TensorWord) -> LinComb:
-    """The composite word -> monomials (= chord diagrams) -> packaged classes,
-    in closed form.
+    """The composite word -> monomials (= chord diagrams) -> packaged classes.
 
-    `tstar` sums over the matchings of each p_i with a q_i, and `diagrams.package`
-    turns a matching into the graph with one vertex per factor and one edge
-    per couple.  So a couple p_i in factor a, q_i in factor b gives the edge
-    (min(a, b), max(a, b)), and a couple inside one factor kills the
-    matching.  `tstar` signs a couple -1 when its q comes first in position
-    order, and across factors position order is factor order, so a matching
-    has sign (-1)^(number of couples whose q sits in an earlier factor than
-    its p).  An index occurring k times sums over the k! bijections between
-    its p-factors and its q-factors, and the product runs over the indices;
-    a word with each index once gives exactly one graph.  Unequal p and q
-    counts give zero, and a factor of degree < 2 is refused, and so is a
-    word with more than WORD_MAX_MATCHINGS matchings, before any is listed.
+    `tstar`'s matchings, listed with the factors as ends: a couple p_i in
+    factor a, q_i in factor b is the written edge (a, b), and `_signed_pairs`
+    of a matching's edges gives the graph `diagrams.package` would and the
+    sign of `tstar`, since across factors position order is factor order.
+    A couple inside one factor is a loop, which kills the matching.  A factor
+    of degree < 2 is refused; then unequal p and q counts, or a couple of an
+    index occurring once inside one factor, give zero before a word with
+    more than WORD_MAX_MATCHINGS matchings is refused.
     """
     if isinstance(x, TensorWord):
         x = LinComb.of(x)

@@ -115,6 +115,20 @@ def test_convert_graph_word_round_trip(tmp_path, capsys):
      [{"coeff": "2", "graph": {"n": 2, "edges": [[1, 2], [1, 2], [1, 2]]}}]),
     ("word", "graph", ["p1 q2 p1", "q1 p2 q1"],
      [{"coeff": "-2", "graph": {"n": 2, "edges": [[1, 2], [1, 2], [1, 2]]}}]),
+    # index 1 occurs twice and index 2's couple is reversed: two monomials,
+    # one graph
+    ("word", "monomial", ["p1 p1 q2", "q1 q1 p2"],
+     [{"coeff": "-1", "monomial": {"pairs": [[1, 4], [2, 5], [3, 6]]}},
+      {"coeff": "-1", "monomial": {"pairs": [[1, 5], [2, 4], [3, 6]]}}]),
+    ("word", "graph", ["p1 p1 q2", "q1 q1 p2"],
+     [{"coeff": "-2", "graph": {"n": 2, "edges": [[1, 2], [1, 2], [1, 2]]}}]),
+    # p2 has no q2, so the word has no matching at all, although index 1
+    # alone would have 10! of them: it is zero, not refused
+    ("word", "monomial", ["p1^10 p2 p2", "q1^10 q3 q3"], []),
+    ("word", "graph", ["p1^10 p2 p2", "q1^10 q3 q3"], []),
+    # p1 and q1 share factor 1, so no graph is left; that zero is found
+    # before index 2's 10! matchings are counted
+    ("word", "graph", ["p1 q1 p2^10", "q2^10 p3 q3"], []),
 ])
 def test_convert_route_prints_exact_json(src, dst, payload, expected, tmp_path, capsys):
     path = write_json(tmp_path, "in.json", payload)
@@ -233,7 +247,6 @@ def test_convert_refuses_a_word_with_too_many_matchings(stage, tmp_path, capsys,
         raise AssertionError("a matching was listed")
 
     monkeypatch.setattr(symplectic, "_bijections", enumerate_matchings)
-    monkeypatch.setattr(symplectic, "symplectic_form", enumerate_matchings)
     path = write_json(tmp_path, "w.json", ["p1^10", "q1^10"])
     rc = main(["convert", "--from", "word", "--to", stage, "--input", path])
     captured = capsys.readouterr()

@@ -266,12 +266,64 @@ def test_word_to_graphs_worked():
     assert word_to_graphs(W_EX) == LinComb.of(G_EX)
 
 
+def _tstar_oracle(w: TensorWord) -> LinComb:
+    """Every perfect matching of the flat word's slots, by recursion on the
+    first unpaired slot, weighted by `symplectic_form` on each pair in
+    position order; a pair that is not a conjugate couple has weight 0."""
+    letters = [g for f in w.factors for g in f]
+    terms = []
+
+    def rec(unpaired, pairs, coeff):
+        if not unpaired:
+            terms.append(LinComb.of(ChordDiagram(tuple(pairs)), coeff))
+            return
+        a = unpaired[0]
+        for k in range(1, len(unpaired)):
+            b = unpaired[k]
+            form = symplectic_form(letters[a - 1], letters[b - 1])
+            if form:
+                rec(unpaired[1:k] + unpaired[k + 1:], pairs + [(a, b)], coeff * form)
+
+    rec(tuple(range(1, len(letters) + 1)), [], 1)
+    return sum(terms, LinComb.zero())
+
+
+def _words_with_powers(rng, count):
+    """Words in p1..q3 with each generator's power up to 3, often with unequal
+    p and q counts (and so odd degree at times), shuffled and cut into one to
+    four factors, so that couples also fall inside one factor."""
+    for _ in range(count):
+        letters = []
+        for i in (1, 2, 3):
+            k = rng.randint(0, 3)
+            letters += [gen("p", i)] * k
+            letters += [gen("q", i)] * (k if rng.random() < 0.6 else rng.randint(0, 3))
+        rng.shuffle(letters)
+        inner = range(1, len(letters))
+        cuts = sorted(rng.sample(inner, min(rng.randint(0, 3), len(inner))))
+        yield word([letters[a:b] for a, b in zip([0] + cuts, cuts + [len(letters)])])
+
+
+def test_tstar_matches_oracle():
+    rng = random.Random(19)
+    words = [W_EX] + list(_words_with_powers(rng, 400))
+    nonzero = odd = inside = 0
+    for w in words:
+        got = tstar(w)
+        assert got == _tstar_oracle(w), w
+        assert all(c for _, c in got.items())
+        nonzero += not got.is_zero()
+        odd += sum(w.degree_shape()) % 2
+        inside += any(g ^ 1 in f for f in w.factors for g in f)
+    assert nonzero >= 100 and odd >= 50 and inside >= 100
+
+
 def _word_to_graphs_oracle(w: TensorWord) -> LinComb:
-    """The bridge as a composite: every matching by `tstar`, then `package`."""
+    """The bridge as a composite: every matching by `_tstar_oracle`, then `package`."""
     shape = w.degree_shape()
     if any(k < 2 for k in shape):
         raise ValueError(f"factor degrees {shape} must all be >= 2")
-    return tstar(w).mapped(lambda d: package(d, shape))
+    return _tstar_oracle(w).mapped(lambda d: package(d, shape))
 
 
 def _words_with_repeated_generators(rng, count):
@@ -363,7 +415,6 @@ def test_word_with_too_many_matchings_is_refused_before_listing(monkeypatch):
         raise AssertionError("a matching was listed")
 
     monkeypatch.setattr(symplectic, "_bijections", enumerate_matchings)
-    monkeypatch.setattr(symplectic, "symplectic_form", enumerate_matchings)
     w = word_from_strings(["p1^10", "q1^10"])
     for f in (word_to_graphs, tstar):
         with pytest.raises(ValueError, match="3628800 matchings"):
