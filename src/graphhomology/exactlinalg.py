@@ -3,6 +3,9 @@
 A scalar is an ``int`` or a ``fractions.Fraction`` (lowest terms, positive
 denominator), never a float.  Integers stay integers: the graph differentials
 are integral, so their matrices and the d∘d check run in integer arithmetic.
+A `SparseMatrix` stores compressed rows, three flat tuples that only this
+module reads; `_assemble` lays every nonzero matrix out from flat lists of
+rows, columns and values.
 `rank` and `chain_contraction` share one fraction-free elimination, which
 scales each row to integers; a Fraction appears only where a value is not
 integral and in the back substitution that gives a contraction's h.
@@ -13,6 +16,7 @@ float on two ints.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -179,53 +183,122 @@ class DegreeOutOfRangeError(KeyError):
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Sparse exact matrix of int or Fraction entries; no explicit zeros stored.
+    """Sparse exact matrix of int or Fraction entries, stored as compressed rows.
 
-    Integer entries stay ints through `compose`, so the d∘d check of an
-    integral complex runs in integer arithmetic.
+    Row r holds the columns ``indices[indptr[r]:indptr[r + 1]]`` in
+    ascending order, with its values at the same positions of ``data``; no
+    zero is stored.  ``SparseMatrix(rows, cols)`` is the zero matrix, and
+    every other matrix is laid out by `_assemble`.  Integer entries stay ints
+    through `compose`, so the d∘d check of an integral complex runs in
+    integer arithmetic.
     """
 
     rows: int
     cols: int
-    entries: tuple[tuple[tuple[int, int], Rational], ...] = ()
+    indptr: tuple[int, ...] | None = None
+    indices: tuple[int, ...] = ()
+    data: tuple[Rational, ...] = ()
+
+    def __post_init__(self):
+        if self.indptr is None:
+            object.__setattr__(self, "indptr", (0,) * (self.rows + 1))
 
     @classmethod
     def from_entries(cls, rows: int, cols: int,
                      entries: Mapping[tuple[int, int], Rational]) -> "SparseMatrix":
-        clean = []
+        clean = {}
         for (r, c), val in entries.items():
             val = rational(val)
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
             if val:
-                clean.append(((r, c), val))
-        clean.sort()
-        return cls(rows, cols, tuple(clean))
+                clean[r, c] = val
+        keys = sorted(clean)
+        return _assemble(rows, cols, [r for r, _ in keys], [c for _, c in keys],
+                         [clean[key] for key in keys])
+
+    @property
+    def entries(self) -> "_Entries":
+        """The nonzero entries as ((row, col), value), row by row: a sized view."""
+        return _Entries(self)
+
+    def _rows(self) -> Iterator[tuple[tuple[int, ...], tuple[Rational, ...]]]:
+        """Each row's columns and values, as two tuples, from row 0 on."""
+        for lo, hi in itertools.pairwise(self.indptr):
+            yield self.indices[lo:hi], self.data[lo:hi]
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """self @ other (apply other first)."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        by_row: dict[int, list[tuple[int, Rational]]] = {}
-        for (r, c), val in self.entries:
-            by_row.setdefault(r, []).append((c, val))
-        other_rows: dict[int, dict[int, Rational]] = {}
-        for (r, c), val in other.entries:
-            other_rows.setdefault(r, {})[c] = val
-        acc: dict[tuple[int, int], Rational] = {}
-        for r, row in by_row.items():
+        indptr, indices, data = other.indptr, other.indices, other.data
+        row_ids, col_ids, vals = [], [], []
+        for r, (cols, row_vals) in enumerate(self._rows()):
             buf: dict[int, Rational] = {}
-            for k, val in row:
-                for c, w in other_rows.get(k, {}).items():
+            for k, val in zip(cols, row_vals):
+                lo, hi = indptr[k], indptr[k + 1]
+                for c, w in zip(indices[lo:hi], data[lo:hi]):
                     buf[c] = buf.get(c, 0) + val * w
-            for c, val in buf.items():
-                if val:
-                    acc[(r, c)] = val
-        return SparseMatrix.from_entries(self.rows, other.cols, acc)
+            for c in sorted(buf):
+                if buf[c]:
+                    row_ids.append(r)
+                    col_ids.append(c)
+                    vals.append(buf[c])
+        return _assemble(self.rows, other.cols, row_ids, col_ids, vals)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.data
+
+
+class _Entries:
+    """The ((row, col), value) pairs of a SparseMatrix in row-major order.
+
+    Its length is the nonzero count, and iterating builds each pair as it is
+    reached, so the pairs are never held all at once.
+    """
+
+    __slots__ = ("_matrix",)
+
+    def __init__(self, matrix: SparseMatrix):
+        self._matrix = matrix
+
+    def __len__(self) -> int:
+        return len(self._matrix.data)
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], Rational]]:
+        for r, (cols, vals) in enumerate(self._matrix._rows()):
+            for c, val in zip(cols, vals):
+                yield (r, c), val
+
+
+def _assemble(rows: int, cols: int, row_ids: list[int], col_ids: list[int],
+              vals: list[Rational]) -> SparseMatrix:
+    """The rows x cols matrix with entry vals[i] at (row_ids[i], col_ids[i]).
+
+    The entries must be nonzero, in range and at distinct positions, and the
+    entries of one row must come in ascending column order, as they do when
+    listed column by column or row by row.  A counting sort by row
+    (Gustavson, ACM TOMS 1978) lays them out as compressed rows: it is
+    stable, so every row keeps its columns ascending, and it builds no tuple
+    per entry.
+    """
+    counts = [0] * (rows + 1)
+    for r in row_ids:
+        counts[r + 1] += 1
+    indptr = list(itertools.accumulate(counts))
+    slot = indptr[:-1]
+    indices = [0] * len(vals)
+    data = [0] * len(vals)
+    for r, c, val in zip(row_ids, col_ids, vals):
+        i = slot[r]
+        indices[i] = c
+        data[i] = val
+        slot[r] = i + 1
+    # one list at a time becomes a tuple, so no list and its copy outlive it
+    indices = tuple(indices)
+    data = tuple(data)
+    return SparseMatrix(rows, cols, tuple(indptr), indices, data)
 
 
 def _combine(row: dict[int, Rational], pivot: dict[int, Rational],
@@ -247,9 +320,10 @@ def _eliminate(m: SparseMatrix, skip_rows: Container[int] = (),
     """Fraction-free elimination of the rows of m outside ``skip_rows``.
 
     Yields (pivot column, pivot row, transform) per pivot; their number is
-    the rank of those rows.  The entries are grouped into rows once, and
-    each row is then scaled in place to integers by the lcm of its
-    denominators, so no second copy of the rows is held.  Eliminating with
+    the rank of those rows.  Each row becomes one dict, built once from its
+    compressed slice and scaled to integers by the lcm of its denominators;
+    when that lcm is 1, as in every row of a graph differential, the values
+    are taken as they are, without a rescale.  Eliminating with
     pivot row p (pivot value pv) replaces a row r holding the pivot column
     with value f by (pv/g)·r - (f/g)·p, g = gcd(f, pv), divided by its
     content (Bareiss, Math. Comp. 1968, without the determinant
@@ -267,14 +341,16 @@ def _eliminate(m: SparseMatrix, skip_rows: Container[int] = (),
     row and transform together, so row = Σ_s T[s]·m_s exactly.  Without it
     the transform is None.
     """
-    rows: dict[int, dict[int, Rational]] = {}
-    for (r, c), val in m.entries:
-        if r not in skip_rows:
-            rows.setdefault(r, {})[c] = val
+    rows: dict[int, dict[int, int]] = {}
     trans = {}
-    for r, row in rows.items():
-        den = math.lcm(*(val.denominator for val in row.values()))
-        rows[r] = {c: int(val * den) for c, val in row.items()}
+    for r, (cols, vals) in enumerate(m._rows()):
+        if not cols or r in skip_rows:
+            continue
+        den = math.lcm(*(val.denominator for val in vals))
+        if den == 1:
+            rows[r] = dict(zip(cols, map(int, vals)))
+        else:
+            rows[r] = {c: int(val * den) for c, val in zip(cols, vals)}
         if transforms:
             trans[r] = {r: den}
     heap = [(len(row), r) for r, row in rows.items()]

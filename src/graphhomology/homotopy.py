@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 
-from .exactlinalg import ChainComplexSlice, SparseMatrix
+from .exactlinalg import ChainComplexSlice, SparseMatrix, _assemble
 from .graphs import (
     Graph,
     _is_connected,
@@ -68,7 +68,8 @@ def slice_from_bases(bases: dict[int, list[Graph]], diff=differential_graph,
     slice computes the quotient/projected differential).  Every degree is
     marked complete: each basis must hold every graph of its degree.
 
-    Each matrix is built once, from one sorted list of entries: a column's
+    Each matrix is built once, by `exactlinalg._assemble` from three flat
+    lists of rows, columns and values, filled column by column: a column's
     terms come from one `LinComb`, so each target row appears once in it
     with a nonzero coefficient, and rows and columns are basis indices, so
     every entry is in range.  The top degree is never a target, so it gets
@@ -78,7 +79,7 @@ def slice_from_bases(bases: dict[int, list[Graph]], diff=differential_graph,
     index = {k: {g: i for i, g in enumerate(bases[k])} for k in range(lo, hi)}
     d: dict[int, SparseMatrix] = {}
     for k in range(lo + 1, hi + 1):
-        entries = []
+        row_ids, col_ids, vals = [], [], []
         target = index[k - 1]
         for col, g in enumerate(bases[k]):
             for term, coeff in diff(g).items():
@@ -87,9 +88,10 @@ def slice_from_bases(bases: dict[int, list[Graph]], diff=differential_graph,
                     if project:
                         continue
                     raise ValueError(f"differential leaves the basis: {term} from {g}")
-                entries.append(((row, col), coeff))
-        entries.sort()
-        d[k] = SparseMatrix(len(bases[k - 1]), len(bases[k]), tuple(entries))
+                row_ids.append(row)
+                col_ids.append(col)
+                vals.append(coeff)
+        d[k] = _assemble(len(bases[k - 1]), len(bases[k]), row_ids, col_ids, vals)
     return ChainComplexSlice((lo, hi), {k: tuple(v) for k, v in bases.items()},
                              d, {k: True for k in bases})
 

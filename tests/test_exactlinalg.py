@@ -35,6 +35,16 @@ def to_dense(m: SparseMatrix) -> list[list]:
     return out
 
 
+def dense_product(a, b):
+    """The product of two dense matrices, as lists of rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _with_empty_end_rows(m: SparseMatrix) -> SparseMatrix:
+    """m with a zero row added before its first row and after its last."""
+    return from_dense([[0] * m.cols, *to_dense(m), [0] * m.cols])
+
+
 def dense_rank_oracle(dense):
     """Row reduction on dense Fraction rows, column by column."""
     rows = [[Fraction(x) for x in row] for row in dense]
@@ -186,6 +196,21 @@ def test_rank_against_dense_oracle_hypothesis(dense):
     assert rank(from_dense(dense)) == dense_rank_oracle(dense)
 
 
+def _assert_rank_matches_oracles(m, case):
+    """rank and _eliminate against the oracles, on m and on m with empty end rows.
+
+    The rows skipped are none, every third row, then every row, which
+    leaves nothing to eliminate.
+    """
+    padded = _with_empty_end_rows(m)
+    assert list(padded.entries) == [((r + 1, c), val) for (r, c), val in m.entries]
+    for mat in (m, padded):
+        assert rank(mat) == _fraction_rank(mat) == dense_rank_oracle(to_dense(mat)), case
+        _assert_eliminate_matches_oracle(mat, ())
+        _assert_eliminate_matches_oracle(mat, set(range(0, mat.rows, 3)))
+        _assert_eliminate_matches_oracle(mat, set(range(mat.rows)))
+
+
 def test_rank_matches_fraction_rank_on_integer_matrices():
     # entries up to 5 in size make pivots other than ±1, so the gcd scaling
     # and the content division both act
@@ -194,9 +219,11 @@ def test_rank_matches_fraction_rank_on_integer_matrices():
     for case in range(60):
         rows, cols = rng.randint(1, 14), rng.randint(1, 14)
         m = _random_sparse(rng, rows, cols, rng.choice((0.2, 0.4, 0.7)), entry)
-        assert rank(m) == _fraction_rank(m) == dense_rank_oracle(to_dense(m)), case
-        _assert_eliminate_matches_oracle(m, ())
-        _assert_eliminate_matches_oracle(m, set(range(0, rows, 3)))
+        _assert_rank_matches_oracles(m, case)
+        # the same values as Fractions: their rows need no rescale, but must
+        # still reach the elimination as ints
+        _assert_rank_matches_oracles(
+            from_dense([[Fraction(x) for x in row] for row in to_dense(m)]), case)
 
 
 def test_rank_matches_fraction_rank_on_fraction_matrices():
@@ -206,9 +233,7 @@ def test_rank_matches_fraction_rank_on_fraction_matrices():
     for case in range(60):
         rows, cols = rng.randint(1, 12), rng.randint(1, 12)
         m = _random_sparse(rng, rows, cols, rng.choice((0.3, 0.6)), entry)
-        assert rank(m) == _fraction_rank(m) == dense_rank_oracle(to_dense(m)), case
-        _assert_eliminate_matches_oracle(m, ())
-        _assert_eliminate_matches_oracle(m, set(range(0, rows, 3)))
+        _assert_rank_matches_oracles(m, case)
 
 
 def test_rank_of_mixed_stripe_differentials():
@@ -235,16 +260,29 @@ def test_homology_two_term_acyclic():
 
 
 def test_homology_zero_differential():
-    cx = ChainComplexSlice(
-        degrees=(0, 2),
-        basis={0: ("a", "b"), 1: ("c",), 2: ("d", "e", "f")},
-        d={1: SparseMatrix.from_entries(2, 1, {}),
-           2: SparseMatrix.from_entries(1, 3, {})},
-        complete={0: True, 1: True, 2: True},
-    )
-    dims = homology_dims(cx)
-    assert [dims[k][0] for k in (0, 1, 2)] == [2, 1, 3]
-    assert dims[1][1] is True
+    # each zero map three ways: from no entries, as the bare
+    # SparseMatrix(rows, cols), and left out, which chain_contraction fills
+    # with that bare matrix
+    for d in ({1: SparseMatrix.from_entries(2, 1, {}),
+               2: SparseMatrix.from_entries(1, 3, {})},
+              {1: SparseMatrix(2, 1), 2: SparseMatrix(1, 3)},
+              {}):
+        assert all(m == SparseMatrix.from_entries(m.rows, m.cols, {})
+                   and len(m.entries) == 0 and not list(m.entries)
+                   and m.is_zero() and rank(m) == 0 for m in d.values())
+        cx = ChainComplexSlice(
+            degrees=(0, 2),
+            basis={0: ("a", "b"), 1: ("c",), 2: ("d", "e", "f")},
+            d=d,
+            complete={0: True, 1: True, 2: True},
+        )
+        dims = homology_dims(cx)
+        assert [dims[k][0] for k in (0, 1, 2)] == [2, 1, 3]
+        assert dims[1][1] is True
+        con = chain_contraction(cx)
+        assert con.h[0] == SparseMatrix(1, 2) and con.h[1] == SparseMatrix(3, 1)
+        assert [con.homology_dim(k) for k in (0, 1, 2)] == [2, 1, 3]
+        assert con.projection(2) == from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_not_a_complex_rejected():
@@ -279,6 +317,23 @@ def test_sparse_matrix_compose_shapes():
     assert to_dense(a.compose(b)) == [[Fraction(7)], [Fraction(3)]]
     with pytest.raises(ValueError):
         b.compose(a)
+    # Fraction matrices, some with empty or cancelling rows, against the
+    # dense product
+    rng = random.Random(8)
+    entry = lambda: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+    for case in range(40):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        left = [[entry() if rng.random() < 0.4 else 0 for _ in range(k)]
+                for _ in range(n)]
+        right = [[entry() if rng.random() < 0.4 else 0 for _ in range(m)]
+                 for _ in range(k)]
+        if k > 1:   # row 0 of the product cancels to zero
+            x = entry()
+            left[0] = [x, -x] + [0] * (k - 2)
+            right[0] = right[1][:]
+        product = from_dense(left).compose(from_dense(right))
+        assert product == from_dense(dense_product(left, right)), case
+        assert to_dense(product) == dense_product(left, right), case
 
 
 def _unimodular_pair(rng, n):
