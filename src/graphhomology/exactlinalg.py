@@ -206,16 +206,16 @@ class SparseMatrix:
     @classmethod
     def from_entries(cls, rows: int, cols: int,
                      entries: Mapping[tuple[int, int], Rational]) -> "SparseMatrix":
-        clean = {}
+        clean = []
         for (r, c), val in entries.items():
             val = rational(val)
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
             if val:
-                clean[r, c] = val
-        keys = sorted(clean)
-        return _assemble(rows, cols, [r for r, _ in keys], [c for _, c in keys],
-                         [clean[key] for key in keys])
+                clean.append((r, c, val))
+        clean.sort()
+        return _assemble(rows, cols, [r for r, _, _ in clean],
+                         [c for _, c, _ in clean], [v for _, _, v in clean])
 
     @property
     def entries(self) -> "_Entries":
@@ -321,15 +321,13 @@ def _eliminate(m: SparseMatrix, skip_rows: Container[int] = (),
 
     Yields (pivot column, pivot row, transform) per pivot; their number is
     the rank of those rows.  Each row becomes one dict, built once from its
-    compressed slice and scaled to integers by the lcm of its denominators;
-    when that lcm is 1, as in every row of a graph differential, the values
-    are taken as they are, without a rescale.  Eliminating with
-    pivot row p (pivot value pv) replaces a row r holding the pivot column
-    with value f by (pv/g)·r - (f/g)·p, g = gcd(f, pv), divided by its
-    content (Bareiss, Math. Comp. 1968, without the determinant
-    bookkeeping).  Every integer
-    row is a nonzero multiple of the row Fraction elimination would hold,
-    so supports, pivots and the rank agree with it.
+    compressed slice and scaled to integers by the lcm of its denominators.
+    Eliminating with pivot row p (pivot value pv) replaces a row r holding
+    the pivot column with value f by (pv/g)·r - (f/g)·p, g = gcd(f, pv),
+    divided by its content (Bareiss, Math. Comp. 1968, without the
+    determinant bookkeeping).  Every integer row is a nonzero multiple of
+    the row Fraction elimination would hold, so supports, pivots and the
+    rank agree with it.
 
     Pivot order is that of structured elimination (LaMacchia & Odlyzko
     1990): the sparsest remaining row (ties by original index), on its
@@ -347,10 +345,7 @@ def _eliminate(m: SparseMatrix, skip_rows: Container[int] = (),
         if not cols or r in skip_rows:
             continue
         den = math.lcm(*(val.denominator for val in vals))
-        if den == 1:
-            rows[r] = dict(zip(cols, map(int, vals)))
-        else:
-            rows[r] = {c: int(val * den) for c, val in zip(cols, vals)}
+        rows[r] = {c: int(val * den) for c, val in zip(cols, vals)}
         if transforms:
             trans[r] = {r: den}
     heap = [(len(row), r) for r, row in rows.items()]

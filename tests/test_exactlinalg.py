@@ -220,8 +220,8 @@ def test_rank_matches_fraction_rank_on_integer_matrices():
         rows, cols = rng.randint(1, 14), rng.randint(1, 14)
         m = _random_sparse(rng, rows, cols, rng.choice((0.2, 0.4, 0.7)), entry)
         _assert_rank_matches_oracles(m, case)
-        # the same values as Fractions: their rows need no rescale, but must
-        # still reach the elimination as ints
+        # the same values as integral Fractions: their denominator lcm is 1,
+        # and they must still reach the elimination as ints
         _assert_rank_matches_oracles(
             from_dense([[Fraction(x) for x in row] for row in to_dense(m)]), case)
 
