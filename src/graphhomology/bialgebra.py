@@ -26,9 +26,6 @@ __all__ = [
     "check_zinbiel_coalgebra",
     "check_compatibility",
     "primitive_projector",
-    "halfshuffle",
-    "shuffle_words",
-    "star_product",
     "LEAF",
     "SERIES_MAX_DEGREE",
     "tree_degree",
@@ -41,16 +38,11 @@ __all__ = [
     "word_cohalf_pq",
     "check_interchange",
     "UnitInputError",
-    "EmptyLeftError",
     "LengthMismatchError",
 ]
 
 
 class UnitInputError(ValueError):
-    pass
-
-
-class EmptyLeftError(ValueError):
     pass
 
 
@@ -174,36 +166,6 @@ def primitive_projector(x: LinComb) -> LinComb:
         return LinComb(out)
 
     return x.mapped(per_graph)
-
-
-def shuffle_words(u: tuple, v: tuple) -> LinComb:
-    """Shuffle product of two letter words, with multiplicities."""
-    out: dict[tuple, int] = {}
-    n, m = len(u), len(v)
-    for positions in itertools.combinations(range(n + m), n):
-        merged = [None] * (n + m)
-        for idx, pos in enumerate(positions):
-            merged[pos] = u[idx]
-        rest = iter(v)
-        for k in range(n + m):
-            if merged[k] is None:
-                merged[k] = next(rest)
-        key = tuple(merged)
-        out[key] = out.get(key, 0) + 1
-    return LinComb._adopt(out)
-
-
-def halfshuffle(u: tuple, v: tuple) -> LinComb:
-    """u ≺ v = u_1 (u_2...u_n ⧢ v); the left word must be nonempty."""
-    if not u:
-        raise EmptyLeftError("the half shuffle needs a nonempty left word")
-    head, tail = u[0], tuple(u[1:])
-    return shuffle_words(tail, tuple(v)).map_keys(lambda w: (head,) + w)
-
-
-def star_product(u: tuple, v: tuple) -> LinComb:
-    """u≺v + v≺u, the symmetrized product (commutative, associative)."""
-    return halfshuffle(u, v) + halfshuffle(v, u)
 
 
 # --- planar binary trees and magmatic series ---------------------------------

@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import bialgebra, diagrams, graphs, homotopy, symplectic
-from .exactlinalg import LinComb, chain_contraction, homology_dims, rank
+from .exactlinalg import LinComb, Rational, chain_contraction, homology_dims, rank, rational
 
 __all__ = ["main"]
 
@@ -45,17 +45,103 @@ class SystemExit2(ValueError):
     """Usage error; converted to exit code 2."""
 
 
+# --- JSON records: graphs, linear combinations of graphs, diagrams -----------
+
+def _require_ints(values, what: str) -> None:
+    """Refuse a record whose numbers are not all ints (bools and floats included)."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, not {v!r}")
+
+
+def _require_json(value, kind, what: str):
+    """The record part ``value``, refused unless it is an instance of ``kind``.
+
+    A bool is refused too, though Python counts it as an int: JSON true and
+    false are never a coefficient or any other part of a record.
+    """
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what} has the wrong type: {value!r}")
+    return value
+
+
+def _require_low_first(pairs, what: str) -> None:
+    """Refuse a pair written high end first: graph and diagram records are
+    canonical forms, and a single-record command has no coefficient to carry
+    the sign such a pair would give."""
+    for a, b in pairs:
+        if a > b:
+            raise ValueError(f"{what} must be written low end first, not {[a, b]}")
+
+
+def _graph_to_record(g: graphs.Graph) -> dict:
+    return {"n": g.n, "edges": [list(e) for e in g.edges]}
+
+
+def _graph_from_record(rec) -> graphs.Graph:
+    _require_json(rec, dict, "a graph record")
+    edges = [tuple(_require_json(e, list, "an edge"))
+             for e in _require_json(rec["edges"], list, "edges")]
+    _require_ints([rec["n"], *(v for e in edges for v in e)], "n and edge vertices")
+    _require_low_first(edges, "an edge")
+    return graphs.graph(rec["n"], edges)
+
+
+def _lincomb_to_records(x: LinComb) -> list[dict]:
+    items = sorted(x.items(), key=lambda kv: kv[0])
+    return [{"coeff": str(c), "graph": _graph_to_record(g)} for g, c in items]
+
+
+def _lincomb_from_records(recs) -> LinComb:
+    out: dict[graphs.Graph, Rational] = {}
+    for rec in recs:
+        _require_json(rec, dict, "a term record")
+        coeff = _require_json(rec["coeff"], (int, str), "a coefficient")
+        g = _graph_from_record(rec["graph"])
+        out[g] = out.get(g, 0) + rational(coeff)
+    return LinComb(out)
+
+
+def _pairs_and_shape(rec, what: str):
+    """A monomial or diagram record's pairs and shape, None when absent or null."""
+    _require_json(rec, dict, what)
+    pairs = [tuple(_require_json(p, list, "a pair"))
+             for p in _require_json(rec["pairs"], list, "pairs")]
+    shape = rec.get("shape")
+    if shape is not None:
+        shape = tuple(_require_json(shape, list, "a shape"))
+    _require_ints([*(shape or ()), *(s for p in pairs for s in p)],
+                  "shape parts and slots")
+    return pairs, shape
+
+
+def _diagram_to_record(g: graphs.Graph) -> dict:
+    """A packaged class as its valence shape and canonical pairing."""
+    return {"shape": graphs.valences(g),
+            "pairs": [list(p) for p in diagrams.varphi_inverse(g).pairs]}
+
+
+def _diagram_from_record(rec) -> LinComb:
+    pairs, shape = _pairs_and_shape(rec, "a diagram record")
+    if shape is None:
+        raise ValueError("a diagram record needs a shape")
+    _require_low_first(pairs, "a pair")
+    return diagrams.package(diagrams.chord_diagram(pairs), shape)
+
+
+# --- commands ----------------------------------------------------------------
+
 def _cmd_enumerate(config: argparse.Namespace):
     gs = graphs.enumerate_graphs(config.vertices, config.edges,
                                  config.min_valence, config.connected)
-    _emit(config, [graphs.graph_to_record(g) for g in gs])
+    _emit(config, [_graph_to_record(g) for g in gs])
     return 0
 
 
 def _parse_graph_payload(payload) -> LinComb:
     if isinstance(payload, list):
-        return graphs.lincomb_from_records(payload)
-    return LinComb.of(graphs.graph_from_record(payload))
+        return _lincomb_from_records(payload)
+    return LinComb.of(_graph_from_record(payload))
 
 
 def _cmd_diff(config: argparse.Namespace):
@@ -64,31 +150,30 @@ def _cmd_diff(config: argparse.Namespace):
     if config.lie:
         classes = x.mapped(graphs.lie_class)
         result = graphs.lie_differential(classes)
-        records = [{"coeff": str(c), "graph": graphs.graph_to_record(k.rep)}
-                   for k, c in sorted(result.items(), key=lambda kv: kv[0])]
+        records = _lincomb_to_records(result.map_keys(lambda k: k.rep))
     else:
-        records = graphs.lincomb_to_records(graphs.differential(x))
+        records = _lincomb_to_records(graphs.differential(x))
     _emit(config, records)
     return 0
 
 
 def _cmd_coproduct(config: argparse.Namespace):
     payload = _load_input(config)
-    g = graphs.graph_from_record(payload)
+    g = _graph_from_record(payload)
     result = bialgebra.cohalf_shuffle(g)
     records = [{"coeff": str(c),
-                "left": graphs.graph_to_record(l),
-                "right": graphs.graph_to_record(r)}
+                "left": _graph_to_record(l),
+                "right": _graph_to_record(r)}
                for (l, r), c in sorted(result.items(), key=lambda kv: kv[0])]
     _emit(config, records)
     return 0
 
 
 def _cmd_product(config: argparse.Namespace):
-    payload = graphs._require_json(_load_input(config), dict, "a product record")
-    left = graphs.graph_from_record(payload["left"])
-    right = graphs.graph_from_record(payload["right"])
-    _emit(config, graphs.graph_to_record(graphs.disjoint_union(left, right)))
+    payload = _require_json(_load_input(config), dict, "a product record")
+    left = _graph_from_record(payload["left"])
+    right = _graph_from_record(payload["right"])
+    _emit(config, _graph_to_record(graphs.disjoint_union(left, right)))
     return 0
 
 
@@ -96,17 +181,6 @@ def _word_payload_to_word(payload) -> symplectic.TensorWord:
     if not isinstance(payload, list) or not all(isinstance(f, str) for f in payload):
         raise ValueError(f"a word is a list of factor strings, not {payload!r}")
     return symplectic.word_from_strings(payload)
-
-
-def _monomial_payload(payload):
-    """The pairs of a monomial record and its shape, empty when absent or null."""
-    graphs._require_json(payload, dict, "a monomial record")
-    pairs = [tuple(graphs._require_json(p, list, "a pair"))
-             for p in graphs._require_json(payload["pairs"], list, "pairs")]
-    shape = payload.get("shape")
-    shape = () if shape is None else tuple(graphs._require_json(shape, list, "a shape"))
-    graphs._require_ints([*shape, *(s for p in pairs for s in p)], "shape parts and slots")
-    return pairs, shape
 
 
 _STAGES = ("word", "monomial", "diagram", "graph")
@@ -124,38 +198,38 @@ def _cmd_convert(config: argparse.Namespace):
         out = [{"coeff": str(c), "monomial": {"pairs": [list(p) for p in m.pairs]}}
                for m, c in sorted(result.items(), key=lambda kv: kv[0])]
     elif route == ("monomial", "diagram"):
-        pairs, shape = _monomial_payload(payload)
+        pairs, shape = _pairs_and_shape(payload, "a monomial record")
         out = []
         for d, c in sorted(diagrams.pair_monomial(pairs).items(), key=lambda kv: kv[0]):
             if shape:
                 for g, c2 in diagrams.package(d, shape).items():
                     out.append({"coeff": str(c * c2),
-                                "diagram": diagrams.diagram_to_record(g)})
+                                "diagram": _diagram_to_record(g)})
             else:
                 out.append({"coeff": str(c),
                             "diagram": {"shape": None,
                                         "pairs": [list(p) for p in d.pairs]}})
     elif route == ("diagram", "graph"):
-        out = graphs.lincomb_to_records(diagrams.diagram_from_record(payload))
+        out = _lincomb_to_records(_diagram_from_record(payload))
     elif route == ("diagram", "monomial"):
-        packaged = diagrams.diagram_from_record(payload)
+        packaged = _diagram_from_record(payload)
         out = [{"coeff": str(c),
                 "monomial": {"pairs": [list(p) for p in diagrams.varphi_inverse(g).pairs]}}
                for g, c in packaged.items()]
     elif route == ("graph", "diagram"):
-        g = graphs.graph_from_record(payload)
-        out = diagrams.diagram_to_record(g)
+        g = _graph_from_record(payload)
+        out = _diagram_to_record(g)
     elif route == ("monomial", "word"):
-        pairs, shape = _monomial_payload(payload)
+        pairs, shape = _pairs_and_shape(payload, "a monomial record")
         if not shape:
             raise SystemExit2("monomial→word needs a shape")
         out = symplectic.word_to_strings(symplectic.split_S(pairs, shape))
     elif route == ("graph", "word"):
-        g = graphs.graph_from_record(payload)
+        g = _graph_from_record(payload)
         out = symplectic.word_to_strings(symplectic.graph_to_word(g))
     elif route == ("word", "graph"):
         w = _word_payload_to_word(payload)
-        out = graphs.lincomb_to_records(symplectic.word_to_graphs(w))
+        out = _lincomb_to_records(symplectic.word_to_graphs(w))
     else:
         raise SystemExit2(f"no conversion route {src} -> {dst}")
     _emit(config, out)
@@ -166,7 +240,9 @@ def _cmd_homology(config: argparse.Namespace):
     if config.polygons:
         if config.loop is not None:
             raise SystemExit2("--loop builds the core stripe; drop --polygons")
-        cx = homotopy.polygon_complex(config.max_n)
+        if config.max_n < 3:
+            raise SystemExit2("need max_n >= 3")
+        cx = homotopy.stripe("polygon", 0, config.max_n)
     elif config.loop is not None:
         cx = homotopy.stripe("core", config.loop, config.max_n)
     else:

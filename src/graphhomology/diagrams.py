@@ -22,19 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlinalg import LinComb
-from .graphs import Graph, _require_ints, _require_json, _signed_pairs, valences
+from .graphs import Graph, _signed_pairs, valences
 
 __all__ = [
     "ChordDiagram",
     "chord_diagram",
     "pair_monomial",
     "phi",
-    "sigma_act_diagram",
     "package",
     "varphi_inverse",
-    "all_pairings",
-    "diagram_to_record",
-    "diagram_from_record",
     "BadShapeError",
     "LowValenceError",
 ]
@@ -112,18 +108,6 @@ def phi(d: ChordDiagram) -> ChordDiagram:
     return d
 
 
-def sigma_act_diagram(perm, d: ChordDiagram) -> LinComb:
-    """Signed slot relabelling by perm^{-1}, collecting -1 per reversed pair."""
-    perm = tuple(perm)
-    if len(perm) != 2 * d.m or sorted(perm) != list(range(1, 2 * d.m + 1)):
-        raise ValueError(f"permutation {perm} does not act on {2 * d.m} slots")
-    inv = [0] * (len(perm) + 1)
-    for k, v in enumerate(perm, start=1):
-        inv[v] = k
-    sign, pairs = _signed_pairs((inv[a], inv[b]) for a, b in d.pairs)
-    return LinComb.of(ChordDiagram(pairs), sign)
-
-
 def package(d: ChordDiagram, shape) -> LinComb:
     """The packaged class of a diagram under a package shape, as its graph.
 
@@ -172,32 +156,3 @@ def varphi_inverse(g: Graph) -> ChordDiagram:
         free[i] += 1
         free[j] += 1
     return ChordDiagram(tuple(sorted(pairs)))
-
-
-def all_pairings(m: int):
-    """All perfect pairings of {1..2m} in canonical form; (2m-1)!! of them."""
-    def rec(slots):
-        if not slots:
-            yield ()
-            return
-        first = slots[0]
-        for k in range(1, len(slots)):
-            partner = slots[k]
-            rest = slots[1:k] + slots[k + 1:]
-            for tail in rec(rest):
-                yield ((first, partner),) + tail
-    return [ChordDiagram(p) for p in rec(tuple(range(1, 2 * m + 1)))]
-
-
-def diagram_to_record(g: Graph) -> dict:
-    """A packaged class as its valence shape and canonical pairing."""
-    return {"shape": valences(g), "pairs": [list(p) for p in varphi_inverse(g).pairs]}
-
-
-def diagram_from_record(rec: dict) -> LinComb:
-    _require_json(rec, dict, "a diagram record")
-    pairs = [tuple(_require_json(p, list, "a pair"))
-             for p in _require_json(rec["pairs"], list, "pairs")]
-    shape = tuple(_require_json(rec["shape"], list, "a shape"))
-    _require_ints([*shape, *(s for p in pairs for s in p)], "shape parts and slots")
-    return package(chord_diagram(pairs), shape)

@@ -2,8 +2,8 @@
 
 A graph on vertices {1..n} stores its edge multiset as sorted pairs (i, j)
 with i < j; the empty graph on zero vertices is the algebra unit.  Orientation
-is never stored: a directed edge list canonicalizes at construction, each flip
-contributing -1 and any loop annihilating the combination.  A Graph is an
+is never stored: written pairs are sorted by `_signed_pairs`, each flip
+contributing -1 and any loop annihilating the term.  A Graph is an
 immutable value that computes its hash once, when it is built, because graphs
 key every linear combination.
 
@@ -46,15 +46,13 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator
 
-from .exactlinalg import LinComb, Rational, rational
+from .exactlinalg import LinComb
 
 __all__ = [
     "Graph",
     "UNIT",
     "GraphClass",
     "graph",
-    "canonicalize",
-    "contract",
     "differential",
     "differential_graph",
     "disjoint_union",
@@ -67,12 +65,7 @@ __all__ = [
     "lie_differential",
     "enumerate_graphs",
     "valences",
-    "graph_to_record",
-    "graph_from_record",
-    "lincomb_to_records",
-    "lincomb_from_records",
     "BadVertexError",
-    "NoSuchEdgeError",
     "SizeMismatchError",
     "OrbitTooLargeError",
     "LIE_CLASS_MAX_N",
@@ -81,10 +74,6 @@ __all__ = [
 
 
 class BadVertexError(ValueError):
-    pass
-
-
-class NoSuchEdgeError(ValueError):
     pass
 
 
@@ -172,12 +161,12 @@ def _signed_pairs(pairs) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     """(sign, sorted (low, high) pairs) of written pairs, or None if one is a loop.
 
     Each pair written high end first flips, contributing -1.  This is the one
-    orientation step: `graph`, `canonicalize`, `sigma_act`, `lie_class`,
-    `diagrams.chord_diagram`, `pair_monomial`, `sigma_act_diagram`,
-    `package`, `symplectic.tstar` and `word_to_graphs` all take their pairs
-    from it.  `_contract` keeps its own count: it is the stripe's hot path,
-    builds the contracted edges in the same pass, and knows that only the
-    edges (a, j) with i < a < j can flip.
+    orientation step: `graph`, `sigma_act`, `lie_class`,
+    `diagrams.chord_diagram`, `pair_monomial`, `package`, `symplectic.tstar`
+    and `word_to_graphs` all take their pairs from it.  `_contract` keeps its
+    own count: it is the stripe's hot path, builds the contracted edges in
+    the same pass, and knows that only the edges (a, j) with i < a < j can
+    flip.
     """
     sign = 1
     norm = []
@@ -191,22 +180,6 @@ def _signed_pairs(pairs) -> tuple[int, tuple[tuple[int, int], ...]] | None:
             return None
     norm.sort()
     return sign, tuple(norm)
-
-
-def canonicalize(n: int, edges) -> LinComb:
-    """Reduce directed edges (i, j) on {1..n} to ±1 times a canonical Graph, or zero.
-
-    Each edge [i, j] with i > j flips, contributing -1; any loop [i, i]
-    annihilates the whole element.
-    """
-    for i, j in edges:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise BadVertexError(f"edge [{i},{j}] outside vertex range 1..{n}")
-    signed = _signed_pairs(edges)
-    if signed is None:
-        return LinComb.zero()
-    sign, norm = signed
-    return LinComb.of(Graph(n, norm), sign)
 
 
 def _contract(g: Graph, k: int) -> tuple[Graph, int] | None:
@@ -238,17 +211,6 @@ def _contract(g: Graph, k: int) -> tuple[Graph, int] | None:
         # else (a, b) is edge k itself, the only copy, and it is dropped
     new_edges.sort()
     return Graph(g.n - 1, tuple(new_edges)), flips
-
-
-def contract(g: Graph, edge: tuple[int, int]) -> LinComb:
-    """Contract one copy of an edge; unsigned; zero if a loop would appear."""
-    i, j = min(edge), max(edge)
-    try:
-        k = g.edges.index((i, j))
-    except ValueError:
-        raise NoSuchEdgeError(f"{edge} not an edge of {g}") from None
-    contracted = _contract(g, k)
-    return LinComb.zero() if contracted is None else LinComb.of(contracted[0])
 
 
 def differential_graph(g: Graph) -> LinComb:
@@ -618,48 +580,3 @@ def _is_connected(n: int, edges) -> bool:
             parent[max(i, j)] = min(i, j)
             joins += 1
     return joins == n - 1
-
-
-def graph_to_record(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edges]}
-
-
-def _require_ints(values, what: str) -> None:
-    """Refuse a record whose numbers are not all ints (bools and floats included)."""
-    for v in values:
-        if type(v) is not int:
-            raise ValueError(f"{what} must be integers, not {v!r}")
-
-
-def _require_json(value, kind, what: str):
-    """The record part ``value``, refused unless it is an instance of ``kind``.
-
-    A bool is refused too, though Python counts it as an int: JSON true and
-    false are never a coefficient or any other part of a record.
-    """
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{what} has the wrong type: {value!r}")
-    return value
-
-
-def graph_from_record(rec: dict) -> Graph:
-    _require_json(rec, dict, "a graph record")
-    edges = [tuple(_require_json(e, list, "an edge"))
-             for e in _require_json(rec["edges"], list, "edges")]
-    _require_ints([rec["n"], *(v for e in edges for v in e)], "n and edge vertices")
-    return graph(rec["n"], edges)
-
-
-def lincomb_to_records(x: LinComb) -> list[dict]:
-    items = sorted(x.items(), key=lambda kv: kv[0])
-    return [{"coeff": str(c), "graph": graph_to_record(g)} for g, c in items]
-
-
-def lincomb_from_records(recs) -> LinComb:
-    out: dict[Graph, Rational] = {}
-    for rec in recs:
-        _require_json(rec, dict, "a term record")
-        coeff = _require_json(rec["coeff"], (int, str), "a coefficient")
-        g = graph_from_record(rec["graph"])
-        out[g] = out.get(g, 0) + rational(coeff)
-    return LinComb(out)

@@ -33,7 +33,6 @@ from .graphs import (
 __all__ = [
     "Classification",
     "classify",
-    "polygon_complex",
     "stripe",
     "slice_from_bases",
 ]
@@ -94,18 +93,6 @@ def slice_from_bases(bases: dict[int, list[Graph]], diff=differential_graph,
         d[k] = _assemble(len(bases[k - 1]), len(bases[k]), row_ids, col_ids, vals)
     return ChainComplexSlice((lo, hi), {k: tuple(v) for k, v in bases.items()},
                              d, {k: True for k in bases})
-
-
-def polygon_complex(max_n: int) -> ChainComplexSlice:
-    """Labelled polygons (connected, all bivalent) up to max_n vertices.
-
-    Degree = vertex count; degree 1 is empty so the bottom differential is
-    total.  Contraction of a polygon edge is again a polygon (or dies on a
-    loop), so nothing is projected away.
-    """
-    if max_n < 3:
-        raise ValueError("need max_n >= 3")
-    return stripe("polygon", 0, max_n)
 
 
 # stripe refuses a degree with more graphs: the mixed stripe at loop 3 has

@@ -54,19 +54,16 @@ __all__ = [
     "UNIT_WORD",
     "gen",
     "monomial",
-    "poly",
     "word",
     "word_from_strings",
     "word_to_strings",
     "poisson_bracket",
     "leibniz_differential",
-    "symplectic_form",
     "tstar",
     "split_S",
     "random_split_word",
     "word_to_graphs",
     "graph_to_word",
-    "matrix_sum_product",
     "BadShapeError",
     "WORD_MAX_MATCHINGS",
 ]
@@ -109,11 +106,6 @@ def _monomial_str(mono: Monomial) -> str:
     return " ".join(map(_gen_str, mono))
 
 
-def poly(text: str, coeff=1) -> LinComb:
-    """One monomial from a string like "p1 q2 p3" (repeats or ^k for powers)."""
-    return LinComb.of(_parse_monomial(text), coeff)
-
-
 def _bracket_monomials(a: Monomial, b: Monomial) -> dict[Monomial, int]:
     """{a, b} of two monomials in closed form, as {monomial: nonzero int}."""
     out: dict[Monomial, int] = {}
@@ -139,17 +131,6 @@ def poisson_bracket(f: LinComb, g: LinComb) -> LinComb:
             for mono, c in _bracket_monomials(a, b).items():
                 out[mono] = out.get(mono, 0) + c * x * y
     return LinComb._adopt({mono: c for mono, c in out.items() if c})
-
-
-def symplectic_form(u: int, v: int) -> int:
-    """ω(p_i, q_i) = 1, ω(q_i, p_i) = -1, all other generator pairs 0.
-
-    `tstar`'s sign for a matching equals the product of ω over its couples
-    in position order, taken there as `_signed_pairs` of the written pairs.
-    """
-    if u ^ v == 1:
-        return -1 if u & 1 else 1
-    return 0
 
 
 @total_ordering
@@ -299,11 +280,12 @@ def tstar(w: TensorWord) -> LinComb:
 
     The flat word's slots are the ends of `_matchings`; a matching's sign and
     sorted pairs, a ChordDiagram, are `_signed_pairs` of its written
-    (p slot, q slot) pairs.  That sign is the product of `symplectic_form`
-    on each couple in position order: -1 for each couple whose q comes
-    first.  Odd total degree, or unequal p and q counts of an index, give
-    the empty combination; a word with more than WORD_MAX_MATCHINGS
-    matchings raises ValueError before any is listed.
+    (p slot, q slot) pairs.  That sign is the product of the symplectic
+    form ω(p_i, q_i) = 1, ω(q_i, p_i) = -1 on each couple in position
+    order: -1 for each couple whose q comes first.  Odd total degree, or
+    unequal p and q counts of an index, give the empty combination; a word
+    with more than WORD_MAX_MATCHINGS matchings raises ValueError before any
+    is listed.
     """
     ends: dict[int, list[int]] = {}
     slot = 0
@@ -395,15 +377,3 @@ def graph_to_word(g: Graph) -> TensorWord:
     """A section of word_to_graphs: `split_S` of g's canonical pairing, cut by
     its valences."""
     return split_S(varphi_inverse(g).pairs, valences(g))
-
-
-def _relabel_word(w: TensorWord, index_map) -> TensorWord:
-    return TensorWord(tuple(
-        monomial(2 * index_map(g >> 1) + (g & 1) for g in f) for f in w.factors))
-
-
-def matrix_sum_product(a: TensorWord, b: TensorWord) -> TensorWord:
-    """Concatenate after doubling indices: a's onto evens, b's onto odds."""
-    ea = _relabel_word(a, lambda i: 2 * i)
-    ob = _relabel_word(b, lambda i: 2 * i - 1)
-    return TensorWord(ea.factors + ob.factors)

@@ -24,7 +24,6 @@ the two candidate rules whose square vanishes (criterion 06):
   needed.
 """
 
-import itertools
 import random
 
 from graphhomology.exactlinalg import (
@@ -32,6 +31,7 @@ from graphhomology.exactlinalg import (
 from graphhomology import bialgebra, diagrams, graphs, homotopy, symplectic
 from graphhomology.symplectic import random_split_word
 from test_bialgebra import check_interchange_unsigned
+from oracles import all_pairings, compositions, contract
 from test_diagrams import chord_differential_squared, packaged
 
 G_EX = graphs.graph(3, [(1, 2), (1, 2), (1, 3), (2, 3)])
@@ -51,26 +51,17 @@ def report(number, ok, detail=""):
     return ok
 
 
-def shapes(total, min_part=2):
-    if total == 0:
-        yield ()
-        return
-    for first in range(min_part, total + 1):
-        for rest in shapes(total - first, min_part):
-            yield (first,) + rest
-
-
 def test_criterion_01_worked_graph_differential():
     # (1, 3) carries (-1)^3 times -1 for the edge (2, 3) that the merge
     # re-orients, (2, 3) carries (-1)^3, and each copy of the doubled (1, 2)
     # leaves a loop behind
     signs = {(1, 2): 1, (1, 3): 1, (2, 3): -1}
-    targets_ok = (graphs.contract(G_EX, (1, 2)).is_zero()
-                  and graphs.contract(G_EX, (1, 3)) == LinComb.of(TRIPLE)
-                  and graphs.contract(G_EX, (2, 3)) == LinComb.of(TRIPLE))
+    targets_ok = (contract(G_EX, (1, 2)).is_zero()
+                  and contract(G_EX, (1, 3)) == LinComb.of(TRIPLE)
+                  and contract(G_EX, (2, 3)) == LinComb.of(TRIPLE))
     signed_sum = LinComb.zero()
     for edge in G_EX.edges:
-        signed_sum = signed_sum + graphs.contract(G_EX, edge).scale(signs[edge])
+        signed_sum = signed_sum + contract(G_EX, edge).scale(signs[edge])
     actual = graphs.differential(LinComb.of(G_EX))
     ok = targets_ok and actual.is_zero() and actual == signed_sum
     report(1, ok, f"contractions of (1,3) and (2,3) land on the triple edge: "
@@ -206,8 +197,8 @@ def test_criterion_06_squares_vanish():
     dd_bad = 0
     classes = 0
     for m in range(1, 5):
-        for shape in shapes(2 * m):
-            for d in diagrams.all_pairings(m):
+        for shape in compositions(2 * m):
+            for d in all_pairings(m):
                 cls = diagrams.package(d, shape)
                 if cls.is_zero():
                     continue
@@ -267,7 +258,7 @@ def test_criterion_07_homotopy_identity():
 
 
 def test_criterion_08_polygon_acyclicity():
-    dims = homology_dims(homotopy.polygon_complex(7))
+    dims = homology_dims(homotopy.stripe("polygon", 0, 7))
     bad = {k: v for k, (v, reliable) in dims.items() if reliable and v != 0}
     ok = not bad
     reliable_degrees = [k for k, (_, r) in dims.items() if r]

@@ -2,11 +2,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from graphhomology.exactlinalg import LinComb
 from graphhomology.bialgebra import (
-    EmptyLeftError,
     LEAF,
     LengthMismatchError,
     SERIES_MAX_DEGREE,
@@ -16,7 +14,6 @@ from graphhomology.bialgebra import (
     check_zinbiel_coalgebra,
     cohalf_shuffle,
     full_coproduct,
-    halfshuffle,
     identity_series,
     left_comb,
     mag_compose,
@@ -25,8 +22,6 @@ from graphhomology.bialgebra import (
     right_comb,
     series_f,
     series_g,
-    shuffle_words,
-    star_product,
     tree_degree,
     word_cohalf_pq,
 )
@@ -155,42 +150,6 @@ def test_projector_kernel_and_image():
             assert image == LinComb.of(g)
         else:
             assert image.is_zero()
-
-
-def test_halfshuffle_values():
-    assert halfshuffle(("a",), ("b",)) == LinComb.of(("a", "b"))
-    assert halfshuffle(("a", "b"), ("c",)) == \
-        LinComb.of(("a", "b", "c")) + LinComb.of(("a", "c", "b"))
-    with pytest.raises(EmptyLeftError):
-        halfshuffle((), ("a",))
-
-
-@settings(max_examples=100, derandomize=True)
-@given(st.lists(st.sampled_from("abc"), min_size=1, max_size=2),
-       st.lists(st.sampled_from("abc"), min_size=1, max_size=2),
-       st.lists(st.sampled_from("abc"), min_size=1, max_size=2))
-def test_halfshuffle_zinbiel_law(x, y, z):
-    x, y, z = tuple(x), tuple(y), tuple(z)
-    lhs = halfshuffle(x, y).mapped(lambda u: halfshuffle(u, z))
-    rhs = star_product(y, z).mapped(lambda v: halfshuffle(x, v))
-    assert lhs == rhs
-
-
-def test_star_product_commutative_associative():
-    rng = random.Random(14)
-    letters = "abc"
-    for _ in range(40):
-        words = [tuple(rng.choice(letters) for _ in range(rng.randint(1, 2)))
-                 for _ in range(3)]
-        x, y, z = words
-        assert star_product(x, y) == star_product(y, x)
-        lhs = star_product(x, y).mapped(lambda u: star_product(u, z))
-        rhs = star_product(y, z).mapped(lambda v: star_product(x, v))
-        assert lhs == rhs
-
-
-def test_shuffle_multiplicity():
-    assert shuffle_words(("a",), ("a",)) == LinComb.of(("a", "a"), 2)
 
 
 def test_series_terms():

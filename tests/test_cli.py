@@ -169,6 +169,12 @@ def test_convert_route_prints_exact_json(src, dst, payload, expected, tmp_path, 
     (["convert", "--from", "monomial", "--to", "diagram"], {"shape": "", "pairs": [[1, 2]]}),
     # a zero denominator is not a rational
     (["diff"], [{"coeff": "1/0", "graph": G_REC}]),
+    # graph and diagram records are canonical: a pair written high end first
+    # is refused, not read with either sign, and an edge must lie on 1..n
+    (["diff"], {"n": 2, "edges": [[2, 1]]}),
+    (["convert", "--from", "diagram", "--to", "graph"],
+     {"shape": [2, 2], "pairs": [[3, 1], [2, 4]]}),
+    (["diff"], {"n": 2, "edges": [[1, 3]]}),
 ])
 def test_malformed_input_is_a_usage_error(argv, payload, tmp_path, capsys):
     path = write_json(tmp_path, "bad.json", payload)
@@ -193,6 +199,10 @@ def test_homology_polygons(capsys):
     for k, entry in dims.items():
         if entry["reliable"]:
             assert entry["dim"] == 0
+    assert main(["homology", "--polygons", "--max-n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: need max_n >= 3\n"
 
 
 def test_homology_needs_loop_or_polygons(capsys):

@@ -9,30 +9,29 @@ from hypothesis import given, settings, strategies as st
 from graphhomology.exactlinalg import LinComb
 from graphhomology import graphs
 from graphhomology.graphs import (
-    BadVertexError,
     Graph,
-    NoSuchEdgeError,
     OrbitTooLargeError,
     SizeMismatchError,
     UNIT,
-    canonicalize,
     connected_components,
-    contract,
     differential,
     differential_graph,
     disjoint_union,
     enumerate_graphs,
     graph,
-    graph_from_record,
-    graph_to_record,
     lie_class,
     lie_differential,
-    lincomb_from_records,
-    lincomb_to_records,
     sigma_act,
     valences,
 )
+from graphhomology.cli import (
+    _graph_from_record,
+    _graph_to_record,
+    _lincomb_from_records,
+    _lincomb_to_records,
+)
 from graphhomology.homotopy import stripe
+from oracles import contract
 
 G_EX = graph(3, [(1, 2), (1, 2), (1, 3), (2, 3)])
 TRIPLE = graph(2, [(1, 2), (1, 2), (1, 2)])
@@ -148,33 +147,12 @@ def test_graph_is_an_immutable_value():
             other < G_EX
 
 
-def test_canonicalize_single_flip():
-    assert canonicalize(2, ((2, 1),)) == LinComb.of(graph(2, [(1, 2)]), -1)
-
-
-def test_canonicalize_loop_annihilates():
-    assert canonicalize(1, ((1, 1),)).is_zero()
-
-
-def test_canonicalize_worked_flip_count():
-    assert canonicalize(3, ((1, 3), (1, 2), (2, 1), (2, 3))) == LinComb.of(G_EX, -1)
-
-
-def test_canonicalize_bad_vertex():
-    with pytest.raises(BadVertexError):
-        canonicalize(2, ((1, 3),))
-
-
-def test_canonicalize_idempotent_on_canonical_input():
-    for g in enumerate_graphs(3, 3):
-        again = canonicalize(g.n, g.edges)
-        assert again == LinComb.of(g)
-
-
 def test_signed_pairs():
     assert graphs._signed_pairs([(3, 1), (2, 2)]) is None
     assert graphs._signed_pairs([]) == (1, ())
     assert graphs._signed_pairs([(4, 2), (1, 3), (2, 1)]) == (1, ((1, 2), (1, 3), (2, 4)))
+    # G_EX written with one pair high end first: -1 times G_EX
+    assert graphs._signed_pairs([(1, 3), (1, 2), (2, 1), (2, 3)]) == (-1, G_EX.edges)
     rng = random.Random(4)
     for _ in range(50):
         pairs = [tuple(rng.sample(range(1, 7), 2)) for _ in range(rng.randint(1, 5))]
@@ -189,7 +167,7 @@ def test_contract_worked_examples():
     g4 = graph(4, [(1, 4), (1, 3), (2, 4), (2, 3), (3, 4)])
     assert contract(g4, (1, 4)) == \
         LinComb.of(graph(3, [(1, 2), (1, 3), (1, 3), (2, 3)]))
-    with pytest.raises(NoSuchEdgeError):
+    with pytest.raises(ValueError):
         contract(DOUBLE, (1, 3))
 
 
@@ -481,15 +459,15 @@ def test_enumerate_filters():
 
 
 def test_records_round_trip():
-    rec = graph_to_record(G_EX)
+    rec = _graph_to_record(G_EX)
     assert rec == {"n": 3, "edges": [[1, 2], [1, 2], [1, 3], [2, 3]]}
-    assert graph_from_record(rec) == G_EX
+    assert _graph_from_record(rec) == G_EX
     x = LinComb.of(G_EX, "2/3") + LinComb.of(TRIPLE, -2)
-    assert lincomb_from_records(lincomb_to_records(x)) == x
+    assert _lincomb_from_records(_lincomb_to_records(x)) == x
 
 
 def test_lincomb_from_records_sums_repeated_graphs():
-    rec = graph_to_record(G_EX)
-    recs = [{"coeff": "1/2", "graph": rec}, {"coeff": 3, "graph": graph_to_record(TRIPLE)},
-            {"coeff": "1/2", "graph": rec}, {"coeff": "-3", "graph": graph_to_record(TRIPLE)}]
-    assert lincomb_from_records(recs) == LinComb.of(G_EX)
+    rec = _graph_to_record(G_EX)
+    recs = [{"coeff": "1/2", "graph": rec}, {"coeff": 3, "graph": _graph_to_record(TRIPLE)},
+            {"coeff": "1/2", "graph": rec}, {"coeff": "-3", "graph": _graph_to_record(TRIPLE)}]
+    assert _lincomb_from_records(recs) == LinComb.of(G_EX)

@@ -20,7 +20,6 @@ from graphhomology.graphs import (
 from graphhomology.homotopy import (
     Classification,
     classify,
-    polygon_complex,
     slice_from_bases,
     stripe,
 )
@@ -70,15 +69,8 @@ def test_labelled_polygons_counts_and_cross_check():
         assert labelled_polygons(n) == filtered
 
 
-def test_polygon_complex_bases():
-    cx = polygon_complex(4)
-    assert cx.basis[2] == (graph(2, [(1, 2), (1, 2)]),)
-    assert cx.basis[3] == (TRIANGLE,)
-    assert len(cx.basis[4]) == 3
-
-
 def test_polygon_acyclic_reliable_degrees():
-    dims = homology_dims(polygon_complex(6))
+    dims = homology_dims(stripe("polygon", 0, 6))
     for k, (dim, reliable) in dims.items():
         if reliable:
             assert dim == 0, (k, dim)

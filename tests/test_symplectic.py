@@ -16,19 +16,17 @@ from graphhomology.symplectic import (
     gen,
     graph_to_word,
     leibniz_differential,
-    matrix_sum_product,
     monomial,
     poisson_bracket,
-    poly,
     random_split_word,
     split_S,
-    symplectic_form,
     tstar,
     word,
     word_from_strings,
     word_to_graphs,
     word_to_strings,
 )
+from oracles import all_pairings, compositions, matrix_sum_product, poly, symplectic_form
 
 W_EX = word_from_strings(["p1 p2 p3", "q1 q2 p4", "q3 q4"])
 G_EX = graph(3, [(1, 2), (1, 2), (1, 3), (2, 3)])
@@ -222,16 +220,6 @@ def test_tstar_of_differential_collapses():
 
 
 def test_tstar_section_property():
-    from graphhomology.diagrams import all_pairings
-
-    def compositions(total, min_part=2):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min_part, total + 1):
-            for rest in compositions(total - first, min_part):
-                yield (first,) + rest
-
     for m in range(1, 4):
         for d in all_pairings(m):
             for shape in compositions(2 * m):
