@@ -147,12 +147,15 @@ def test_graph_is_an_immutable_value():
             other < G_EX
 
 
+def test_canonicalize_worked_flip_count():
+    # G_EX written with one pair high end first: -1 times G_EX
+    assert graphs._signed_pairs([(1, 3), (1, 2), (2, 1), (2, 3)]) == (-1, G_EX.edges)
+
+
 def test_signed_pairs():
     assert graphs._signed_pairs([(3, 1), (2, 2)]) is None
     assert graphs._signed_pairs([]) == (1, ())
     assert graphs._signed_pairs([(4, 2), (1, 3), (2, 1)]) == (1, ((1, 2), (1, 3), (2, 4)))
-    # G_EX written with one pair high end first: -1 times G_EX
-    assert graphs._signed_pairs([(1, 3), (1, 2), (2, 1), (2, 3)]) == (-1, G_EX.edges)
     rng = random.Random(4)
     for _ in range(50):
         pairs = [tuple(rng.sample(range(1, 7), 2)) for _ in range(rng.randint(1, 5))]
