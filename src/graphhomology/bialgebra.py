@@ -11,7 +11,6 @@ constant term.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .exactlinalg import LinComb
@@ -94,12 +93,12 @@ def full_coproduct(g: Graph) -> LinComb:
     return half + tau(half)
 
 
-def check_zinbiel_coalgebra(g: Graph):
+def check_zinbiel_coalgebra(g: Graph) -> LinComb:
     """Half-shuffle coassociativity, checked in reduced form.
 
-    Evaluates (Δ̄⊗Id)Δ̄ - (Id⊗Δ̄)Δ̄ - (Id⊗τΔ̄)Δ̄ on g.  Stripping the unit
-    terms makes the three-term law equivalent to the counital one without
-    needing a coproduct for the unit.  Returns (ok, defect).
+    Returns the defect (Δ̄⊗Id)Δ̄ - (Id⊗Δ̄)Δ̄ - (Id⊗τΔ̄)Δ̄ on g, zero where the
+    law holds.  Stripping the unit terms makes the three-term law equivalent
+    to the counital one without needing a coproduct for the unit.
     """
     red = reduced_cohalf_shuffle(g)
 
@@ -117,21 +116,19 @@ def check_zinbiel_coalgebra(g: Graph):
     lhs = red.mapped(left_expand)
     rhs = (red.mapped(lambda p: right_expand(p, False))
            + red.mapped(lambda p: right_expand(p, True)))
-    defect = lhs - rhs
-    return defect.is_zero(), defect
+    return lhs - rhs
 
 
-def check_compatibility(a: Graph, b: Graph):
-    """Δ_≺(a·b) against (μ⊗μ)(Id⊗τ⊗Id)(Δ_≺(a)⊗Δ(b)).  Returns (ok, defect)."""
+def check_compatibility(a: Graph, b: Graph) -> LinComb:
+    """The defect Δ_≺(a·b) - (μ⊗μ)(Id⊗τ⊗Id)(Δ_≺(a)⊗Δ(b)), zero where the law holds."""
     if a == UNIT:
-        return True, LinComb.zero()
+        return LinComb.zero()
     prod = disjoint_union(a, b)
     lhs = cohalf_shuffle(prod)
     fb = full_coproduct(b)
     rhs = cohalf_shuffle(a).mapped(lambda pa: fb.map_keys(
         lambda pb: (disjoint_union(pa[0], pb[0]), disjoint_union(pa[1], pb[1]))))
-    defect = lhs - rhs
-    return defect.is_zero(), defect
+    return lhs - rhs
 
 
 def _convolution_power(k: int, g: Graph, memo: dict) -> LinComb:
@@ -270,9 +267,10 @@ def word_cohalf_pq(w: TensorWord, p: int, q: int) -> LinComb:
     if p + q != n or p < 1:
         return LinComb.zero()
     out: dict[tuple[TensorWord, TensorWord], int] = {}
-    for left_idx in itertools.combinations(range(1, n), p - 1):
+    for left_idx, right_pos in _splits(range(1, n)):
+        if len(left_idx) != p - 1:
+            continue
         left_pos = (0,) + left_idx
-        right_pos = tuple(k for k in range(1, n) if k not in left_idx)
         inversions = sum(1 for x in left_pos for y in right_pos if y < x)
         key = (TensorWord(tuple(fs[k] for k in left_pos)),
                TensorWord(tuple(fs[k] for k in right_pos)))
@@ -280,12 +278,12 @@ def word_cohalf_pq(w: TensorWord, p: int, q: int) -> LinComb:
     return LinComb(out)
 
 
-def check_interchange(w: TensorWord, p: int, q: int):
+def check_interchange(w: TensorWord, p: int, q: int) -> LinComb:
     """Graded interchange of the factor half shuffle with the differential.
 
-    Compares Δ_{p,q}(dw) with (d ⊗ Id)Δ_{p+1,q}(w) + (-1)^p (Id ⊗ d)Δ_{p,q+1}(w),
-    where Δ is `word_cohalf_pq` with its graded shuffle signs; this identity
-    holds.  Returns (ok, defect).
+    Returns the defect Δ_{p,q}(dw) - (d ⊗ Id)Δ_{p+1,q}(w)
+    - (-1)^p (Id ⊗ d)Δ_{p,q+1}(w), where Δ is `word_cohalf_pq` with its
+    graded shuffle signs; this identity holds, so the defect is zero.
     """
     if len(w.factors) != p + q + 1:
         raise LengthMismatchError(f"word has {len(w.factors)} factors, need {p + q + 1}")
@@ -298,5 +296,4 @@ def check_interchange(w: TensorWord, p: int, q: int):
                lambda lr: d(lr[0]).map_keys(lambda t: (t, lr[1])))
            + word_cohalf_pq(w, p, q + 1).mapped(
                lambda lr: d(lr[1]).map_keys(lambda t: (lr[0], t))).scale((-1) ** p))
-    defect = lhs - rhs
-    return defect.is_zero(), defect
+    return lhs - rhs

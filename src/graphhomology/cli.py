@@ -36,13 +36,9 @@ def _emit(config: argparse.Namespace, payload) -> None:
 
 def _load_input(config: argparse.Namespace) -> dict:
     if not config.input:
-        raise SystemExit2("--input is required for this command")
+        raise ValueError("--input is required for this command")
     with open(config.input, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-class SystemExit2(ValueError):
-    """Usage error; converted to exit code 2."""
 
 
 # --- JSON records: graphs, linear combinations of graphs, diagrams -----------
@@ -118,7 +114,7 @@ def _pairs_and_shape(rec, what: str):
 def _diagram_to_record(g: graphs.Graph) -> dict:
     """A packaged class as its valence shape and canonical pairing."""
     return {"shape": graphs.valences(g),
-            "pairs": [list(p) for p in diagrams.varphi_inverse(g).pairs]}
+            "pairs": [list(p) for p in diagrams.varphi_inverse(g)]}
 
 
 def _diagram_from_record(rec) -> LinComb:
@@ -189,32 +185,27 @@ _STAGES = ("word", "monomial", "diagram", "graph")
 def _cmd_convert(config: argparse.Namespace):
     src, dst = config.convert_from, config.convert_to
     if src not in _STAGES or dst not in _STAGES:
-        raise SystemExit2(f"stages must be among {_STAGES}")
+        raise ValueError(f"stages must be among {_STAGES}")
     payload = _load_input(config)
     route = (src, dst)
     if route == ("word", "monomial"):
         w = _word_payload_to_word(payload)
         result = symplectic.tstar(w)
-        out = [{"coeff": str(c), "monomial": {"pairs": [list(p) for p in m.pairs]}}
+        out = [{"coeff": str(c), "monomial": {"pairs": [list(p) for p in m]}}
                for m, c in sorted(result.items(), key=lambda kv: kv[0])]
     elif route == ("monomial", "diagram"):
         pairs, shape = _pairs_and_shape(payload, "a monomial record")
-        out = []
-        for d, c in sorted(diagrams.pair_monomial(pairs).items(), key=lambda kv: kv[0]):
-            if shape:
-                for g, c2 in diagrams.package(d, shape).items():
-                    out.append({"coeff": str(c * c2),
-                                "diagram": _diagram_to_record(g)})
-            else:
-                out.append({"coeff": str(c),
-                            "diagram": {"shape": None,
-                                        "pairs": [list(p) for p in d.pairs]}})
+        if not shape:
+            raise ValueError("monomial→diagram needs a shape")
+        out = [{"coeff": str(c * c2), "diagram": _diagram_to_record(g)}
+               for d, c in diagrams.pair_monomial(pairs).items()
+               for g, c2 in diagrams.package(d, shape).items()]
     elif route == ("diagram", "graph"):
         out = _lincomb_to_records(_diagram_from_record(payload))
     elif route == ("diagram", "monomial"):
         packaged = _diagram_from_record(payload)
         out = [{"coeff": str(c),
-                "monomial": {"pairs": [list(p) for p in diagrams.varphi_inverse(g).pairs]}}
+                "monomial": {"pairs": [list(p) for p in diagrams.varphi_inverse(g)]}}
                for g, c in packaged.items()]
     elif route == ("graph", "diagram"):
         g = _graph_from_record(payload)
@@ -222,7 +213,7 @@ def _cmd_convert(config: argparse.Namespace):
     elif route == ("monomial", "word"):
         pairs, shape = _pairs_and_shape(payload, "a monomial record")
         if not shape:
-            raise SystemExit2("monomial→word needs a shape")
+            raise ValueError("monomial→word needs a shape")
         out = symplectic.word_to_strings(symplectic.split_S(pairs, shape))
     elif route == ("graph", "word"):
         g = _graph_from_record(payload)
@@ -231,7 +222,7 @@ def _cmd_convert(config: argparse.Namespace):
         w = _word_payload_to_word(payload)
         out = _lincomb_to_records(symplectic.word_to_graphs(w))
     else:
-        raise SystemExit2(f"no conversion route {src} -> {dst}")
+        raise ValueError(f"no conversion route {src} -> {dst}")
     _emit(config, out)
     return 0
 
@@ -239,30 +230,18 @@ def _cmd_convert(config: argparse.Namespace):
 def _cmd_homology(config: argparse.Namespace):
     if config.polygons:
         if config.loop is not None:
-            raise SystemExit2("--loop builds the core stripe; drop --polygons")
+            raise ValueError("--loop builds the core stripe; drop --polygons")
         if config.max_n < 3:
-            raise SystemExit2("need max_n >= 3")
+            raise ValueError("need max_n >= 3")
         cx = homotopy.stripe("polygon", 0, config.max_n)
     elif config.loop is not None:
         cx = homotopy.stripe("core", config.loop, config.max_n)
     else:
-        raise SystemExit2("homology needs --loop L or --polygons")
+        raise ValueError("homology needs --loop L or --polygons")
     dims = homology_dims(cx)
     _emit(config, {str(k): {"dim": dim, "reliable": reliable}
                    for k, (dim, reliable) in sorted(dims.items())})
     return 0
-
-
-def _defect_item(label: str, defect: LinComb):
-    """(label, ok, note) for a check that holds when its defect vanishes.
-
-    The note of a failing item gives the defect's term count and its
-    smallest term, so a FAIL line says how large the defect is.
-    """
-    if defect.is_zero():
-        return label, True, ""
-    key, coeff = min(defect.items(), key=lambda kv: kv[0])
-    return label, False, f" defect terms={len(defect)} smallest={coeff}*{key!r}"
 
 
 def _matrix_terms(name: str, m) -> LinComb:
@@ -271,12 +250,13 @@ def _matrix_terms(name: str, m) -> LinComb:
 
 
 def _suite_items(config: argparse.Namespace):
-    """Yield (label, ok, note) triples for the selected verification suite."""
+    """Yield (label, defect) pairs for the selected verification suite; an
+    item holds when its defect is zero."""
     rng = random.Random(config.seed)
     if config.suite == "d2":
         for g in _listed_graphs(config):
             val = graphs.differential(graphs.differential(LinComb.of(g)))
-            yield _defect_item(repr(g), val)
+            yield repr(g), val
     elif config.suite == "contraction":
         # the mixed graphs with n <= vertices, e <= edges, by loop order; each
         # stripe runs one degree past the checked ones, as in criterion 07
@@ -291,45 +271,44 @@ def _suite_items(config: argparse.Namespace):
                           + _matrix_terms("dπ", cx.d[k].compose(pi))
                           + _matrix_terms("πd", pi.compose(cx.d[k + 1]))
                           + LinComb.of(("rank π-b",), rank(pi) - b))
-                yield _defect_item(f"loop {loop} degree {k} b={b}", defect)
+                yield f"loop {loop} degree {k} b={b}", defect
     elif config.suite == "bialgebra":
         pool = _component_pool(3)
         for g in graphs.products_of(pool, max_components=3):
-            _, defect = bialgebra.check_zinbiel_coalgebra(g)
-            yield _defect_item(f"coalgebra {g!r}", defect)
+            yield f"coalgebra {g!r}", bialgebra.check_zinbiel_coalgebra(g)
         singles = [graphs.UNIT] + graphs.products_of(pool, max_components=2)
         for a in singles:
             for b in singles:
-                _, defect = bialgebra.check_compatibility(a, b)
-                yield _defect_item(f"compat {a!r} | {b!r}", defect)
+                yield f"compat {a!r} | {b!r}", bialgebra.check_compatibility(a, b)
     elif config.suite == "series":
         f = bialgebra.series_f(config.degree)
         g = bialgebra.series_g(config.degree)
         ident = bialgebra.identity_series(config.degree)
-        yield "f∘g = t", bialgebra.mag_compose(f, g, config.degree) == ident, ""
-        yield "g∘f = t", bialgebra.mag_compose(g, f, config.degree) == ident, ""
+        # trees of different shapes do not compare, so the defects are keyed
+        # by repr, as LinComb's own repr sorts them
+        yield "f∘g = t", (bialgebra.mag_compose(f, g, config.degree) - ident).map_keys(repr)
+        yield "g∘f = t", (bialgebra.mag_compose(g, f, config.degree) - ident).map_keys(repr)
     elif config.suite == "interchange":
         for case in range(20):
             w = symplectic.random_split_word(rng)
             n = len(w.factors)
             for p in range(0, n):
                 q = n - 1 - p
-                _, defect = bialgebra.check_interchange(w, p, q)
-                yield _defect_item(f"word {case} split ({p},{q})", defect)
+                yield f"word {case} split ({p},{q})", bialgebra.check_interchange(w, p, q)
     elif config.suite == "commute":
         for g in _listed_graphs(config, min_valence=2):
             w = symplectic.graph_to_word(g)
             lhs = symplectic.word_to_graphs(
                 symplectic.leibniz_differential(LinComb.of(w)))
             rhs = graphs.differential(LinComb.of(g))
-            yield _defect_item(repr(g), lhs - rhs)
+            yield repr(g), lhs - rhs
     elif config.suite == "lie-diagram":
         for g in _listed_graphs(config):
             lhs = graphs.differential(LinComb.of(g)).mapped(graphs.lie_class)
             rhs = graphs.lie_differential(graphs.lie_class(g))
-            yield _defect_item(repr(g), lhs - rhs)
+            yield repr(g), lhs - rhs
     else:
-        raise SystemExit2(f"unknown suite {config.suite}; choose from {SUITES}")
+        raise ValueError(f"unknown suite {config.suite}; choose from {SUITES}")
 
 
 def _component_pool(max_vertices: int):
@@ -352,17 +331,21 @@ def _listed_graphs(config: argparse.Namespace, min_valence: int = 0) -> list:
 
 def _cmd_verify(config: argparse.Namespace):
     if min(config.vertices, config.edges, config.degree) < 0:
-        raise SystemExit2("--vertices, --edges and --degree must be non-negative")
+        raise ValueError("--vertices, --edges and --degree must be non-negative")
     lines = []
     failures = 0
     total = 0
-    for label, ok, note in _suite_items(config):
+    for label, defect in _suite_items(config):
         total += 1
-        if not ok:
-            failures += 1
-        lines.append(f"{'OK  ' if ok else 'FAIL'} {label}{note}")
+        if defect.is_zero():
+            lines.append(f"OK   {label}")
+            continue
+        # a FAIL line gives the defect's term count and its smallest term
+        failures += 1
+        key, coeff = min(defect.items(), key=lambda kv: kv[0])
+        lines.append(f"FAIL {label} defect terms={len(defect)} smallest={coeff}*{key}")
     if not total:
-        raise SystemExit2(f"suite {config.suite} has no items within these bounds")
+        raise ValueError(f"suite {config.suite} has no items within these bounds")
     header = (f"suite={config.suite} seed={config.seed} "
               f"vertices<={config.vertices} edges<={config.edges}")
     body = [header] + sorted(lines)

@@ -3,8 +3,10 @@
 A chord diagram on m chords is a perfect pairing of {1..2m}; pairs are stored
 (min, max) and sorted by first element, so the base point 1 opens the first
 pair.  A standard pair monomial, a product of antisymmetric pair symbols
-y_{a,b}, is the same data, so one type, `ChordDiagram`, serves as both and
-the paper's φ between them is the identity.
+y_{a,b}, is the same data, so both are that sorted pair tuple (`ChordDiagram`
+names the type, as `symplectic.Monomial` does) and the paper's φ between
+them is the identity.  Signs from reversed pairs live in the enclosing
+linear combination.
 
 A packaged diagram takes the pairing modulo independent permutations of
 consecutive slot blocks ("packages"); a chord inside one package annihilates
@@ -18,8 +20,6 @@ differential on packaged classes is `graphs.differential_graph`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .exactlinalg import LinComb
 from .graphs import Graph, _signed_pairs, valences
@@ -55,23 +55,8 @@ def _shape_parts(shape) -> tuple[int, ...]:
     return shape
 
 
-@dataclass(frozen=True, order=True)
-class ChordDiagram:
-    """Perfect pairing of {1..2m}: sorted (min, max) pairs sorted by first slot.
-
-    The same data is a standard pair monomial y_{a1,b1} ... y_{am,bm}, so
-    this one type is both; signs from reversed pairs live in the enclosing
-    linear combination.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.pairs)
-
-    def __repr__(self) -> str:
-        return f"ChordDiagram({list(map(list, self.pairs))})"
+# A chord diagram, or standard pair monomial, is its tuple of sorted pairs.
+ChordDiagram = tuple
 
 
 def chord_diagram(pairs) -> ChordDiagram:
@@ -81,7 +66,7 @@ def chord_diagram(pairs) -> ChordDiagram:
     m = len(written)
     if signed is None or sorted(s for p in signed[1] for s in p) != list(range(1, 2 * m + 1)):
         raise ValueError(f"pairs {pairs} do not partition 1..{2 * m}")
-    return ChordDiagram(signed[1])
+    return signed[1]
 
 
 def pair_monomial(pairs) -> LinComb:
@@ -96,13 +81,13 @@ def pair_monomial(pairs) -> LinComb:
     slots = sorted(s for p in norm for s in p)
     if slots != list(range(1, 2 * len(norm) + 1)):
         raise ValueError(f"indices of {pairs} are not a permutation of 1..{2 * len(norm)}")
-    return LinComb.of(ChordDiagram(norm), sign)
+    return LinComb.of(norm, sign)
 
 
 def phi(d: ChordDiagram) -> ChordDiagram:
     """φ from standard pair monomials to chord diagrams: the identity.
 
-    Both are the same pairing data, held by the one type ChordDiagram.
+    Both are the same sorted pair tuple.
     ``perfbench/workloads.py`` still calls φ between `tstar` and `package`.
     """
     return d
@@ -119,12 +104,12 @@ def package(d: ChordDiagram, shape) -> LinComb:
     class has sign +1.
     """
     shape = _shape_parts(shape)
-    if any(k < 2 for k in shape) or sum(shape) != 2 * d.m:
-        raise BadShapeError(f"shape {shape} incompatible with {2 * d.m} slots")
+    if any(k < 2 for k in shape) or sum(shape) != 2 * len(d):
+        raise BadShapeError(f"shape {shape} incompatible with {2 * len(d)} slots")
     owner = [0]
     for k, size in enumerate(shape, start=1):
         owner.extend([k] * size)
-    signed = _signed_pairs((owner[a], owner[b]) for a, b in d.pairs)
+    signed = _signed_pairs((owner[a], owner[b]) for a, b in d)
     if signed is None:
         return LinComb.zero()
     return LinComb.of(Graph(len(shape), signed[1]))
@@ -155,4 +140,4 @@ def varphi_inverse(g: Graph) -> ChordDiagram:
         pairs.append((free[i], free[j]))
         free[i] += 1
         free[j] += 1
-    return ChordDiagram(tuple(sorted(pairs)))
+    return tuple(sorted(pairs))

@@ -18,7 +18,7 @@ symplectic form evaluated in position order.  A couple whose q precedes its
 p therefore contributes -1; these re-orientation signs are exactly the ones
 the graph differential carries, which makes the word-to-graph square
 commute.  The keys of ``tstar`` are standard pair monomials, which are
-`ChordDiagram`s.
+chord diagrams: tuples of sorted (low, high) slot pairs.
 
 `word_to_graphs` is ``tstar`` followed by `diagrams.package` by the word's
 factor degrees, and a packaged class is held as its graph, so the bridge
@@ -279,7 +279,7 @@ def tstar(w: TensorWord) -> LinComb:
     """Sum over the matchings of each p_i with a q_i, as signed standard monomials.
 
     The flat word's slots are the ends of `_matchings`; a matching's sign and
-    sorted pairs, a ChordDiagram, are `_signed_pairs` of its written
+    sorted pair tuple, its chord diagram, are `_signed_pairs` of its written
     (p slot, q slot) pairs.  That sign is the product of the symplectic
     form ω(p_i, q_i) = 1, ω(q_i, p_i) = -1 on each couple in position
     order: -1 for each couple whose q comes first.  Odd total degree, or
@@ -296,7 +296,7 @@ def tstar(w: TensorWord) -> LinComb:
     out: dict[ChordDiagram, int] = {}
     for pairs in _matchings(ends):
         sign, norm = _signed_pairs(pairs)
-        out[ChordDiagram(norm)] = sign
+        out[norm] = sign
     return LinComb._adopt(out)
 
 
@@ -376,4 +376,4 @@ def word_to_graphs(x: LinComb | TensorWord) -> LinComb:
 def graph_to_word(g: Graph) -> TensorWord:
     """A section of word_to_graphs: `split_S` of g's canonical pairing, cut by
     its valences."""
-    return split_S(varphi_inverse(g).pairs, valences(g))
+    return split_S(varphi_inverse(g), valences(g))

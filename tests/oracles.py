@@ -1,13 +1,18 @@
 """Reference oracles and small helpers that several test modules share.
 
-The oracles (`all_pairings`, `contract`, `symplectic_form`) are written
-from their definitions, not through the code they check.
+The oracles (`all_pairings`, `contract`, `symplectic_form`,
+`chord_differential`, `unsigned_cohalf_pq`, `check_interchange_unsigned`)
+are written from their definitions, not through the code they check.
 """
 
-from graphhomology.diagrams import ChordDiagram
+import itertools
+
+from graphhomology.bialgebra import LengthMismatchError
+from graphhomology.diagrams import varphi_inverse
 from graphhomology.exactlinalg import LinComb
-from graphhomology.graphs import graph
-from graphhomology.symplectic import TensorWord, monomial, word_from_strings
+from graphhomology.graphs import graph, valences
+from graphhomology.symplectic import (
+    TensorWord, leibniz_differential, monomial, word_from_strings)
 
 
 def compositions(total, min_part=2):
@@ -33,7 +38,7 @@ def all_pairings(m: int):
             rest = slots[1:k] + slots[k + 1:]
             for tail in rec(rest):
                 yield ((first, partner),) + tail
-    return [ChordDiagram(p) for p in rec(tuple(range(1, 2 * m + 1)))]
+    return list(rec(tuple(range(1, 2 * m + 1))))
 
 
 def contract(g, edge) -> LinComb:
@@ -78,3 +83,95 @@ def matrix_sum_product(a: TensorWord, b: TensorWord) -> TensorWord:
     ea = _relabel_word(a, lambda i: 2 * i)
     ob = _relabel_word(b, lambda i: 2 * i - 1)
     return TensorWord(ea.factors + ob.factors)
+
+
+def package_blocks(shape):
+    blocks, start = [], 1
+    for size in shape:
+        blocks.append(tuple(range(start, start + size)))
+        start += size
+    return blocks
+
+
+def package_owner(shape):
+    """owner[s] is the 1-indexed package of slot s; owner[0] is unused."""
+    return [0] + [k for k, block in enumerate(package_blocks(shape), start=1)
+                  for _ in block]
+
+
+def packaged(g):
+    """The packaged class a graph holds, as (shape, canonical pairs)."""
+    return tuple(valences(g)), varphi_inverse(g)
+
+
+def chord_differential(shape, pairs):
+    """The paper's ∂ on a packaged class, chord by chord; terms as graphs.
+
+    Contracting a cross-package chord deletes its endpoints and merges the
+    higher package's remaining slots into the lower one (at the lower
+    position, slot order preserved); a surviving chord inside the merged
+    package kills the term.  The sign is (-1)^(package of the larger
+    endpoint), times -1 for each other chord ending in that package whose
+    far end sits strictly between the two merged packages.
+    """
+    owner = package_owner(shape)
+    blocks = package_blocks(shape)
+    out = LinComb.zero()
+    for a, b in pairs:
+        pa, pb = owner[a], owner[b]
+        merged = [s for s in blocks[pa - 1] if s != a] + [s for s in blocks[pb - 1] if s != b]
+        order = []
+        for k, block in enumerate(blocks, start=1):
+            if k == pa:
+                order.extend(merged)
+            elif k != pb:
+                order.extend(block)
+        relabel = {old: new for new, old in enumerate(order, start=1)}
+        new_shape = list(shape)
+        new_shape[pa - 1] += shape[pb - 1] - 2
+        del new_shape[pb - 1]
+        new_owner = package_owner(new_shape)
+        rest = [(x, y) for x, y in pairs if (x, y) != (a, b)]
+        edges = [(new_owner[relabel[x]], new_owner[relabel[y]]) for x, y in rest]
+        if any(i == j for i, j in edges):
+            continue
+        flips = sum(1 for x, y in rest if owner[y] == pb and pa < owner[x] < pb)
+        out = out + LinComb.of(graph(len(new_shape), edges), (-1) ** (pb + flips))
+    return out
+
+
+def chord_differential_squared(shape, pairs):
+    return chord_differential(shape, pairs).mapped(
+        lambda g: chord_differential(*packaged(g)))
+
+
+def unsigned_cohalf_pq(w: TensorWord, p: int, q: int) -> LinComb:
+    """`word_cohalf_pq` without the graded shuffle signs."""
+    fs = w.factors
+    n = len(fs)
+    if p + q != n or p < 1:
+        return LinComb.zero()
+    out = LinComb.zero()
+    for left_idx in itertools.combinations(range(1, n), p - 1):
+        right_idx = tuple(k for k in range(1, n) if k not in left_idx)
+        out = out + LinComb.of((TensorWord(tuple(fs[k] for k in (0,) + left_idx)),
+                                TensorWord(tuple(fs[k] for k in right_idx))))
+    return out
+
+
+def check_interchange_unsigned(w: TensorWord, p: int, q: int) -> LinComb:
+    """The defect of the interchange law with unsigned shuffles and no
+    (-1)^p: the negative control, which fails in general."""
+    if len(w.factors) != p + q + 1:
+        raise LengthMismatchError(f"word has {len(w.factors)} factors, need {p + q + 1}")
+    lhs = LinComb.zero()
+    for term, c in leibniz_differential(LinComb.of(w)).items():
+        lhs = lhs + unsigned_cohalf_pq(term, p, q).scale(c)
+    rhs = LinComb.zero()
+    for (left, right), c in unsigned_cohalf_pq(w, p + 1, q).items():
+        for lterm, lc in leibniz_differential(LinComb.of(left)).items():
+            rhs = rhs + LinComb.of((lterm, right), c * lc)
+    for (left, right), c in unsigned_cohalf_pq(w, p, q + 1).items():
+        for rterm, rc in leibniz_differential(LinComb.of(right)).items():
+            rhs = rhs + LinComb.of((left, rterm), c * rc)
+    return lhs - rhs

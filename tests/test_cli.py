@@ -5,9 +5,10 @@ import random
 import pytest
 
 from graphhomology import bialgebra, cli, graphs, homotopy, symplectic
+from graphhomology.bialgebra import LEAF
 from graphhomology.cli import SUITES, main
-from graphhomology.exactlinalg import ChainContraction, homology_dims
-from test_bialgebra import check_interchange_unsigned
+from graphhomology.exactlinalg import ChainContraction, LinComb, homology_dims
+from oracles import check_interchange_unsigned
 
 G_REC = {"n": 3, "edges": [[1, 2], [1, 2], [1, 3], [2, 3]]}
 # the worked examples W_EX, D_EX (packaged by shape (3, 3, 2)) and G_EX
@@ -167,6 +168,13 @@ def test_convert_route_prints_exact_json(src, dst, payload, expected, tmp_path, 
     (["convert", "--from", "monomial", "--to", "diagram"],
      {"shape": False, "pairs": [[1, 2]]}),
     (["convert", "--from", "monomial", "--to", "diagram"], {"shape": "", "pairs": [[1, 2]]}),
+    # a diagram record needs a shape, so monomial→diagram refuses to write one
+    # without it
+    (["convert", "--from", "monomial", "--to", "diagram"], {"pairs": [[1, 3], [2, 4]]}),
+    (["convert", "--from", "monomial", "--to", "diagram"],
+     {"pairs": [[1, 3], [2, 4]], "shape": None}),
+    (["convert", "--from", "monomial", "--to", "diagram"],
+     {"pairs": [[1, 3], [2, 4]], "shape": []}),
     # a zero denominator is not a rational
     (["diff"], [{"coeff": "1/0", "graph": G_REC}]),
     # graph and diagram records are canonical: a pair written high end first
@@ -331,6 +339,22 @@ def test_verify_series_at_the_truncation_edge(degree, capsys):
     assert out.splitlines()[1:] == ["OK   f∘g = t", "OK   g∘f = t", "all 2 items pass"]
 
 
+@pytest.mark.parametrize("wrong, terms", [
+    (LinComb.of(LEAF, 2), 1),
+    # a leaf and a product tree do not compare, yet the defect has a smallest term
+    (LinComb.of(LEAF, 2) + LinComb.of((LEAF, LEAF)), 2),
+])
+def test_verify_series_fail_lines_give_defect_size(wrong, terms, capsys, monkeypatch):
+    # against a wrong identity t + x, f∘g - (t + x) = g∘f - (t + x) = -x
+    monkeypatch.setattr(bialgebra, "identity_series", lambda degree: wrong)
+    rc, out = run_cli(["verify", "--suite", "series"], capsys)
+    assert rc == 1
+    assert out.splitlines()[1:] == [
+        f"FAIL f∘g = t defect terms={terms} smallest=-1*'t'",
+        f"FAIL g∘f = t defect terms={terms} smallest=-1*'t'",
+        "2 of 2 items fail"]
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--vertices", "8", "--edges", "12"],
     ["verify", "--suite", "series", "--degree", "17"],
@@ -418,8 +442,8 @@ def test_verify_interchange_fail_lines_give_defect_size(capsys, monkeypatch):
         w = symplectic.random_split_word(rng)
         for p in range(len(w.factors)):
             q = len(w.factors) - 1 - p
-            ok, defect = check_interchange_unsigned(w, p, q)
-            if not ok:
+            defect = check_interchange_unsigned(w, p, q)
+            if not defect.is_zero():
                 key, coeff = min(defect.items(), key=lambda kv: kv[0])
                 expected.append(f"FAIL word {case} split ({p},{q}) defect "
                                 f"terms={len(defect)} smallest={coeff}*{key!r}")
