@@ -11,8 +11,6 @@ constant term.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactlinalg import LinComb
 from .graphs import Graph, UNIT, assemble, connected_components, disjoint_union
 from .symplectic import TensorWord, leibniz_differential
@@ -68,11 +66,8 @@ def cohalf_shuffle(g: Graph) -> LinComb:
         raise UnitInputError("the unit graph has no half-shuffle coproduct")
     comps = connected_components(g)
     head, tail = comps[0], comps[1:]
-    out: dict[tuple[Graph, Graph], int] = {}
-    for left, right in _splits(tail):
-        key = (assemble((head,) + left), assemble(right))
-        out[key] = out.get(key, 0) + 1
-    return LinComb._adopt(out)
+    return LinComb.sum(((assemble((head,) + left), assemble(right)), 1)
+                       for left, right in _splits(tail))
 
 
 def reduced_cohalf_shuffle(g: Graph) -> LinComb:
@@ -156,11 +151,9 @@ def primitive_projector(x: LinComb) -> LinComb:
     def per_graph(g: Graph) -> LinComb:
         if g == UNIT:
             return LinComb.zero()
-        out: dict[Graph, int | Fraction] = {}
-        for k in range(1, len(connected_components(g)) + 1):
-            for h, c in _convolution_power(k, g, memo).items():
-                out[h] = out.get(h, 0) + (-1) ** (k - 1) * c
-        return LinComb(out)
+        return LinComb.sum((h, (-1) ** (k - 1) * c)
+                           for k in range(1, len(connected_components(g)) + 1)
+                           for h, c in _convolution_power(k, g, memo).items())
 
     return x.mapped(per_graph)
 
@@ -245,12 +238,9 @@ def mag_compose(outer: LinComb, inner: LinComb, degree_bound: int) -> LinComb:
     inner_map: dict[int, dict] = {}
     for tree, c in inner.items():
         inner_map.setdefault(tree_degree(tree), {})[tree] = c
-    out: dict = {}
-    for tree, coeff in outer.items():
-        for sub in _graft(tree, inner_map, degree_bound).values():
-            for t, c in sub.items():
-                out[t] = out.get(t, 0) + coeff * c
-    return LinComb(out)
+    return LinComb.sum((t, coeff * c) for tree, coeff in outer.items()
+                       for sub in _graft(tree, inner_map, degree_bound).values()
+                       for t, c in sub.items())
 
 
 # --- word-level coproduct projections and the interchange law ----------------
@@ -266,16 +256,15 @@ def word_cohalf_pq(w: TensorWord, p: int, q: int) -> LinComb:
     n = len(fs)
     if p + q != n or p < 1:
         return LinComb.zero()
-    out: dict[tuple[TensorWord, TensorWord], int] = {}
-    for left_idx, right_pos in _splits(range(1, n)):
-        if len(left_idx) != p - 1:
-            continue
-        left_pos = (0,) + left_idx
+
+    def term(left_pos, right_pos):
         inversions = sum(1 for x in left_pos for y in right_pos if y < x)
-        key = (TensorWord(tuple(fs[k] for k in left_pos)),
-               TensorWord(tuple(fs[k] for k in right_pos)))
-        out[key] = out.get(key, 0) + (-1) ** inversions
-    return LinComb(out)
+        return ((TensorWord(tuple(fs[k] for k in left_pos)),
+                 TensorWord(tuple(fs[k] for k in right_pos))), (-1) ** inversions)
+
+    return LinComb.sum(term((0,) + left_idx, right_pos)
+                       for left_idx, right_pos in _splits(range(1, n))
+                       if len(left_idx) == p - 1)
 
 
 def check_interchange(w: TensorWord, p: int, q: int) -> LinComb:

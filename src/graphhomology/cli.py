@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import bialgebra, diagrams, graphs, homotopy, symplectic
-from .exactlinalg import LinComb, Rational, chain_contraction, homology_dims, rank, rational
+from .exactlinalg import LinComb, chain_contraction, homology_dims, rank, rational
 
 __all__ = ["main"]
 
@@ -61,6 +61,14 @@ def _require_json(value, kind, what: str):
     return value
 
 
+def _require_pair(value, what: str) -> tuple:
+    """The record part ``value``, a list of two ends, as a tuple."""
+    pair = tuple(_require_json(value, list, what))
+    if len(pair) != 2:
+        raise ValueError(f"{what} must have two ends, not {value!r}")
+    return pair
+
+
 def _require_low_first(pairs, what: str) -> None:
     """Refuse a pair written high end first: graph and diagram records are
     canonical forms, and a single-record command has no coefficient to carry
@@ -76,8 +84,7 @@ def _graph_to_record(g: graphs.Graph) -> dict:
 
 def _graph_from_record(rec) -> graphs.Graph:
     _require_json(rec, dict, "a graph record")
-    edges = [tuple(_require_json(e, list, "an edge"))
-             for e in _require_json(rec["edges"], list, "edges")]
+    edges = [_require_pair(e, "an edge") for e in _require_json(rec["edges"], list, "edges")]
     _require_ints([rec["n"], *(v for e in edges for v in e)], "n and edge vertices")
     _require_low_first(edges, "an edge")
     return graphs.graph(rec["n"], edges)
@@ -89,20 +96,18 @@ def _lincomb_to_records(x: LinComb) -> list[dict]:
 
 
 def _lincomb_from_records(recs) -> LinComb:
-    out: dict[graphs.Graph, Rational] = {}
-    for rec in recs:
+    def term(rec):
         _require_json(rec, dict, "a term record")
         coeff = _require_json(rec["coeff"], (int, str), "a coefficient")
-        g = _graph_from_record(rec["graph"])
-        out[g] = out.get(g, 0) + rational(coeff)
-    return LinComb(out)
+        return _graph_from_record(rec["graph"]), rational(coeff)
+
+    return LinComb.sum(map(term, recs))
 
 
 def _pairs_and_shape(rec, what: str):
     """A monomial or diagram record's pairs and shape, None when absent or null."""
     _require_json(rec, dict, what)
-    pairs = [tuple(_require_json(p, list, "a pair"))
-             for p in _require_json(rec["pairs"], list, "pairs")]
+    pairs = [_require_pair(p, "a pair") for p in _require_json(rec["pairs"], list, "pairs")]
     shape = rec.get("shape")
     if shape is not None:
         shape = tuple(_require_json(shape, list, "a shape"))
@@ -246,7 +251,7 @@ def _cmd_homology(config: argparse.Namespace):
 
 def _matrix_terms(name: str, m) -> LinComb:
     """The entries of a matrix as terms keyed (name, row, column)."""
-    return LinComb({(name, r, c): val for (r, c), val in m.entries})
+    return LinComb.sum(((name, r, c), val) for (r, c), val in m.entries)
 
 
 def _suite_items(config: argparse.Namespace):

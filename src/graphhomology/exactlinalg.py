@@ -3,6 +3,9 @@
 A scalar is an ``int`` or a ``fractions.Fraction`` (lowest terms, positive
 denominator), never a float.  Integers stay integers: the graph differentials
 are integral, so their matrices and the d∘d check run in integer arithmetic.
+A `LinComb` stores no zero coefficient.  Every module outside this one
+builds a computed combination with `LinComb.sum`, which adds its terms and
+drops the keys that cancel, so that rule is kept here alone.
 A `SparseMatrix` stores compressed rows, three flat tuples that only this
 module reads; `_assemble` lays every nonzero matrix out from flat lists of
 rows, columns and values.
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Container, Hashable, Iterator, Mapping
+from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping
 
 Rational = int | Fraction
 
@@ -65,6 +68,8 @@ class LinComb:
     coefficient maps, in which 1 and Fraction(1) are equal.  Basis elements
     are expected to be in canonical form already: each basis type owns its
     canonicalization and exposes constructors returning LinComb values.
+    ``LinComb(mapping)`` coerces a given map of coefficients; a computed
+    combination is summed only by `sum`, from its (key, coefficient) terms.
     """
 
     __slots__ = ("_terms",)
@@ -84,6 +89,24 @@ class LinComb:
         result = cls.__new__(cls)
         result._terms = terms
         return result
+
+    @classmethod
+    def sum(cls, terms: Iterable[tuple[Hashable, Rational]]) -> "LinComb":
+        """The sum of the (key, exact coefficient) pairs ``terms``.
+
+        Terms with one key are added in place, in the order given, and a key
+        whose coefficients cancel is deleted, so no zero is stored.  Keys
+        come in the order of their first term, or of their first term since
+        they last cancelled.  Int coefficients stay ints.
+        """
+        out: dict[Hashable, Rational] = {}
+        for key, val in terms:
+            acc = out.get(key, 0) + val
+            if acc:
+                out[key] = acc
+            else:
+                out.pop(key, None)
+        return cls._adopt(out)
 
     @classmethod
     def zero(cls) -> "LinComb":
@@ -153,7 +176,8 @@ class LinComb:
         return LinComb._adopt(out)
 
     def map_keys(self, f: Callable[[Hashable], Hashable]) -> "LinComb":
-        """Linear extension of an injective-on-support basis relabelling."""
+        """Linear extension of a basis relabelling; keys that f sends to one
+        key are summed, and dropped if they cancel."""
         out = {}
         for key, val in self._terms.items():
             new = f(key)

@@ -166,7 +166,8 @@ def _signed_pairs(pairs) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     and `word_to_graphs` all take their pairs from it.  `_contract` keeps its
     own count: it is the stripe's hot path, builds the contracted edges in
     the same pass, and knows that only the edges (a, j) with i < a < j can
-    flip.
+    flip.  It returns each contraction's whole sign in δ, (-1)^j times -1
+    per flipped edge.
     """
     sign = 1
     norm = []
@@ -183,20 +184,21 @@ def _signed_pairs(pairs) -> tuple[int, tuple[tuple[int, int], ...]] | None:
 
 
 def _contract(g: Graph, k: int) -> tuple[Graph, int] | None:
-    """(g with its k-th edge (i, j) contracted, f), or None when a loop would appear.
+    """(g with its k-th edge (i, j) contracted, its sign in δg), or None when a
+    loop would appear.
 
     j merges into i and labels above j shift down by one.  A loop appears
     exactly when another copy of (i, j) remains, and in the sorted edge
-    tuple a copy sits next to edge k.  f counts the other edges (a, j) with
-    i < a < j: they become (i, a), the only written directions the merge
-    reverses.
+    tuple a copy sits next to edge k.  The sign is (-1)^(j+f), where f
+    counts the other edges (a, j) with i < a < j: they become (i, a), the
+    only written directions the merge reverses.
     """
     edges = g.edges
     edge = edges[k]
     if edges[max(k - 1, 0):k + 2].count(edge) > 1:
         return None
     i, j = edge
-    flips = 0
+    sign = -1 if j & 1 else 1
     new_edges = []
     for a, b in edges:
         if b > j:
@@ -206,27 +208,17 @@ def _contract(g: Graph, k: int) -> tuple[Graph, int] | None:
         elif a < i:
             new_edges.append((a, i))
         elif a > i:
-            flips += 1
+            sign = -sign
             new_edges.append((i, a))
         # else (a, b) is edge k itself, the only copy, and it is dropped
     new_edges.sort()
-    return Graph(g.n - 1, tuple(new_edges)), flips
+    return Graph(g.n - 1, tuple(new_edges)), sign
 
 
 def differential_graph(g: Graph) -> LinComb:
     """δ on one basis graph: signed sum of single-edge contractions."""
-    out: dict[Graph, int] = {}
-    for k, (_, j) in enumerate(g.edges):
-        contracted = _contract(g, k)
-        if contracted is None:
-            continue
-        term, flips = contracted
-        acc = out.get(term, 0) + (-1 if (j + flips) % 2 else 1)
-        if acc:
-            out[term] = acc
-        else:
-            del out[term]
-    return LinComb._adopt(out)
+    return LinComb.sum(term for k in range(len(g.edges))
+                       if (term := _contract(g, k)) is not None)
 
 
 def differential(x: LinComb) -> LinComb:

@@ -8,8 +8,9 @@ tuple of its generators with multiplicity, and a polynomial is a
 bracket of two monomials is taken in closed form: {a, b} sums, over the
 distinct p_i of a, c_a(p_i)·c_b(q_i) times the product of a less one p_i
 and b less one q_i, and subtracts the same with a and b swapped, where
-c_x(g) is the multiplicity of g in x.  `poisson_bracket` and
-`leibniz_differential` are its linear extensions.
+c_x(g) is the multiplicity of g in x.  `_bracket_monomials` yields these
+terms uncollected, and `poisson_bracket` and `leibniz_differential`, its
+linear extensions, add them with `LinComb.sum`.
 
 The pairing evaluation ``tstar`` flattens a word (factor by factor, each
 factor in canonical generator order) and sums over all perfect matchings
@@ -44,8 +45,8 @@ import re
 from functools import total_ordering
 from typing import Iterator
 
-from .exactlinalg import LinComb, Rational
-from .diagrams import BadShapeError, ChordDiagram, _shape_parts, varphi_inverse
+from .exactlinalg import LinComb
+from .diagrams import BadShapeError, _shape_parts, varphi_inverse
 from .graphs import Graph, _signed_pairs, valences
 
 __all__ = [
@@ -106,16 +107,15 @@ def _monomial_str(mono: Monomial) -> str:
     return " ".join(map(_gen_str, mono))
 
 
-def _bracket_monomials(a: Monomial, b: Monomial) -> dict[Monomial, int]:
-    """{a, b} of two monomials in closed form, as {monomial: nonzero int}."""
-    out: dict[Monomial, int] = {}
+def _bracket_monomials(a: Monomial, b: Monomial) -> Iterator[tuple[Monomial, int]]:
+    """The terms (monomial, nonzero int) of {a, b} in closed form, uncollected:
+    a monomial may come twice, and its coefficients may cancel."""
     for sign, f, g in ((1, a, b), (-1, b, a)):
         for p in dict.fromkeys(f):
             if not p & 1 and p + 1 in g:
                 k, l = f.index(p), g.index(p + 1)
-                key = monomial(f[:k] + f[k + 1:] + g[:l] + g[l + 1:])
-                out[key] = out.get(key, 0) + sign * f.count(p) * g.count(p + 1)
-    return {key: c for key, c in out.items() if c}
+                yield (monomial(f[:k] + f[k + 1:] + g[:l] + g[l + 1:]),
+                       sign * f.count(p) * g.count(p + 1))
 
 
 def poisson_bracket(f: LinComb, g: LinComb) -> LinComb:
@@ -125,12 +125,8 @@ def poisson_bracket(f: LinComb, g: LinComb) -> LinComb:
     sum over distinct p_i of a of c_a(p_i)·c_b(q_i)·(a/p_i)(b/q_i), minus
     the same with a and b swapped, where c_x(g) is the multiplicity of g in x.
     """
-    out: dict[Monomial, Rational] = {}
-    for a, x in f.items():
-        for b, y in g.items():
-            for mono, c in _bracket_monomials(a, b).items():
-                out[mono] = out.get(mono, 0) + c * x * y
-    return LinComb._adopt({mono: c for mono, c in out.items() if c})
+    return LinComb.sum((mono, c * x * y) for a, x in f.items() for b, y in g.items()
+                       for mono, c in _bracket_monomials(a, b))
 
 
 @total_ordering
@@ -203,13 +199,12 @@ def leibniz_differential(x: LinComb) -> LinComb:
     """d(g_1⊗...⊗g_n) = sum_{i<j} (-1)^j g_1⊗...⊗{g_i,g_j}@i...⊗ĝ_j⊗...⊗g_n.
 
     Each bracket {g_i, g_j} of two monomials is taken in closed form (see
-    `poisson_bracket`), and the terms of a word are summed in one dict.  A
-    bracket vanishes unless g_j holds the conjugate of a generator of g_i,
-    so each factor's conjugates are collected once and the other pairs are
-    skipped.
+    `poisson_bracket`), and the terms of a word are summed by one
+    `LinComb.sum`.  A bracket vanishes unless g_j holds the conjugate of a
+    generator of g_i, so each factor's conjugates are collected once and the
+    other pairs are skipped.
     """
-    def per_word(w: TensorWord) -> LinComb:
-        out: dict[TensorWord, int] = {}
+    def terms(w: TensorWord) -> Iterator[tuple[TensorWord, int]]:
         fs = w.factors
         conjugates = [{g ^ 1 for g in f} for f in fs]
         for j in range(2, len(fs) + 1):
@@ -217,11 +212,9 @@ def leibniz_differential(x: LinComb) -> LinComb:
             for i in range(1, j):
                 if conjugates[i - 1].isdisjoint(fs[j - 1]):
                     continue
-                for mono, c in _bracket_monomials(fs[i - 1], fs[j - 1]).items():
-                    key = TensorWord(fs[:i - 1] + (mono,) + fs[i:j - 1] + fs[j:])
-                    out[key] = out.get(key, 0) + sign * c
-        return LinComb._adopt({key: c for key, c in out.items() if c})
-    return x.mapped(per_word)
+                for mono, c in _bracket_monomials(fs[i - 1], fs[j - 1]):
+                    yield TensorWord(fs[:i - 1] + (mono,) + fs[i:j - 1] + fs[j:]), sign * c
+    return x.mapped(lambda w: LinComb.sum(terms(w)))
 
 
 # tstar and word_to_graphs refuse a word with more matchings: an index
@@ -293,11 +286,7 @@ def tstar(w: TensorWord) -> LinComb:
         for g in f:
             slot += 1
             ends.setdefault(g, []).append(slot)
-    out: dict[ChordDiagram, int] = {}
-    for pairs in _matchings(ends):
-        sign, norm = _signed_pairs(pairs)
-        out[norm] = sign
-    return LinComb._adopt(out)
+    return LinComb.sum((norm, sign) for sign, norm in map(_signed_pairs, _matchings(ends)))
 
 
 def split_S(pairs, shape) -> TensorWord:
@@ -346,14 +335,9 @@ def _word_to_graphs_single(w: TensorWord) -> LinComb:
     for a, f in enumerate(factors, start=1):
         for g in f:
             ends.setdefault(g, []).append(a)
-    out: dict[Graph, int] = {}
-    for pairs in _matchings(ends):
-        signed = _signed_pairs(pairs)
-        if signed is not None:
-            sign, edges = signed
-            key = Graph(len(factors), edges)
-            out[key] = out.get(key, 0) + sign
-    return LinComb._adopt({key: c for key, c in out.items() if c})
+    # a matching with a couple inside one factor is a loop, None, and dropped
+    signed = filter(None, map(_signed_pairs, _matchings(ends)))
+    return LinComb.sum((Graph(len(factors), edges), sign) for sign, edges in signed)
 
 
 def word_to_graphs(x: LinComb | TensorWord) -> LinComb:

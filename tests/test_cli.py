@@ -193,6 +193,23 @@ def test_malformed_input_is_a_usage_error(argv, payload, tmp_path, capsys):
     assert captured.err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("argv, payload, message", [
+    (["diff"], {"n": 3, "edges": [[1, 2, 3]]}, "an edge must have two ends, not [1, 2, 3]"),
+    (["diff"], {"n": 3, "edges": [[1]]}, "an edge must have two ends, not [1]"),
+    (["convert", "--from", "diagram", "--to", "graph"],
+     {"shape": [2, 2], "pairs": [[1, 3], [2, 4, 5]]}, "a pair must have two ends, not [2, 4, 5]"),
+    (["convert", "--from", "monomial", "--to", "word"],
+     {"shape": [2], "pairs": [[]]}, "a pair must have two ends, not []"),
+])
+def test_wrong_length_edge_or_pair_is_refused_by_name(argv, payload, message, tmp_path, capsys):
+    path = write_json(tmp_path, "bad.json", payload)
+    rc = main(argv + ["--input", path])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
 def test_convert_no_route(tmp_path, capsys):
     path = write_json(tmp_path, "g.json", G_REC)
     rc = main(["convert", "--from", "graph", "--to", "monomial",

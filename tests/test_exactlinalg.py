@@ -167,12 +167,25 @@ def test_lincomb_cancellation_and_identity():
 @settings(max_examples=60, derandomize=True)
 @given(st.dictionaries(st.sampled_from("abcd"), st.integers(-4, 4), max_size=4),
        st.dictionaries(st.sampled_from("abcd"), st.integers(-4, 4), max_size=4),
-       st.integers(-3, 3))
-def test_lincomb_module_laws(t1, t2, s):
+       st.integers(-3, 3),
+       st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-4, 4)), max_size=8))
+def test_lincomb_module_laws(t1, t2, s, terms):
     a, b = LinComb(t1), LinComb(t2)
     assert a + b == b + a
     assert (a + b).scale(s) == a.scale(s) + b.scale(s)
     assert (a - a).is_zero()
+    # LinComb.sum adds terms as + does, in the same key order
+    summed = LinComb.sum([*a.items(), *b.items()])
+    assert summed == a + b
+    assert list(summed.items()) == list((a + b).items())
+    # a key is stored exactly when its terms do not cancel, and ints stay ints
+    totals = {}
+    for key, c in terms:
+        totals[key] = totals.get(key, 0) + c
+    summed = LinComb.sum(terms)
+    assert dict(summed.items()) == {key: c for key, c in totals.items() if c}
+    assert all(type(c) is int for _, c in summed.items())
+    assert LinComb.sum(terms + [(key, -c) for key, c in terms]).is_zero()
 
 
 def test_rank_identity_and_proportional_rows():

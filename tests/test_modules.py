@@ -1,7 +1,10 @@
-"""Every graphhomology module exports only names it defines."""
+"""Every graphhomology module exports only names it defines, and only
+`exactlinalg` reaches into a `LinComb`."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +20,18 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [export for export in module.__all__ if not hasattr(module, export)]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("path", sorted(Path(graphhomology.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_only_exactlinalg_touches_lincomb_internals(path):
+    # every other module builds a computed combination with LinComb.sum, so
+    # the rule that no zero coefficient is stored is kept in one module
+    if path.stem == "exactlinalg":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = {"_adopt", "_terms"}
+    found = sorted({node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in private
+                    or isinstance(node, ast.Name) and node.id in private})
+    assert not found, f"{path.name} reads LinComb internals on lines {found}"
