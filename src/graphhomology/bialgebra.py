@@ -34,17 +34,7 @@ __all__ = [
     "mag_compose",
     "word_cohalf_pq",
     "check_interchange",
-    "UnitInputError",
-    "LengthMismatchError",
 ]
-
-
-class UnitInputError(ValueError):
-    pass
-
-
-class LengthMismatchError(ValueError):
-    pass
 
 
 def _splits(items):
@@ -63,7 +53,7 @@ def cohalf_shuffle(g: Graph) -> LinComb:
     connected input the single term is g ⊗ unit.
     """
     if g == UNIT:
-        raise UnitInputError("the unit graph has no half-shuffle coproduct")
+        raise ValueError("the unit graph has no half-shuffle coproduct")
     comps = connected_components(g)
     head, tail = comps[0], comps[1:]
     return LinComb.sum(((assemble((head,) + left), assemble(right)), 1)
@@ -275,7 +265,7 @@ def check_interchange(w: TensorWord, p: int, q: int) -> LinComb:
     graded shuffle signs; this identity holds, so the defect is zero.
     """
     if len(w.factors) != p + q + 1:
-        raise LengthMismatchError(f"word has {len(w.factors)} factors, need {p + q + 1}")
+        raise ValueError(f"word has {len(w.factors)} factors, need {p + q + 1}")
 
     def d(word: TensorWord) -> LinComb:
         return leibniz_differential(LinComb.of(word))

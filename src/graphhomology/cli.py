@@ -84,8 +84,8 @@ def _graph_to_record(g: graphs.Graph) -> dict:
 
 def _graph_from_record(rec) -> graphs.Graph:
     _require_json(rec, dict, "a graph record")
-    edges = [_require_pair(e, "an edge") for e in _require_json(rec["edges"], list, "edges")]
-    _require_ints([rec["n"], *(v for e in edges for v in e)], "n and edge vertices")
+    edges = [_require_pair(e, "an edge") for e in _require_json(rec.get("edges"), list, "edges")]
+    _require_ints([rec.get("n"), *(v for e in edges for v in e)], "n and edge vertices")
     _require_low_first(edges, "an edge")
     return graphs.graph(rec["n"], edges)
 
@@ -98,8 +98,8 @@ def _lincomb_to_records(x: LinComb) -> list[dict]:
 def _lincomb_from_records(recs) -> LinComb:
     def term(rec):
         _require_json(rec, dict, "a term record")
-        coeff = _require_json(rec["coeff"], (int, str), "a coefficient")
-        return _graph_from_record(rec["graph"]), rational(coeff)
+        coeff = _require_json(rec.get("coeff"), (int, str), "a coefficient")
+        return _graph_from_record(rec.get("graph")), rational(coeff)
 
     return LinComb.sum(map(term, recs))
 
@@ -107,7 +107,7 @@ def _lincomb_from_records(recs) -> LinComb:
 def _pairs_and_shape(rec, what: str):
     """A monomial or diagram record's pairs and shape, None when absent or null."""
     _require_json(rec, dict, what)
-    pairs = [_require_pair(p, "a pair") for p in _require_json(rec["pairs"], list, "pairs")]
+    pairs = [_require_pair(p, "a pair") for p in _require_json(rec.get("pairs"), list, "pairs")]
     shape = rec.get("shape")
     if shape is not None:
         shape = tuple(_require_json(shape, list, "a shape"))
@@ -172,8 +172,8 @@ def _cmd_coproduct(config: argparse.Namespace):
 
 def _cmd_product(config: argparse.Namespace):
     payload = _require_json(_load_input(config), dict, "a product record")
-    left = _graph_from_record(payload["left"])
-    right = _graph_from_record(payload["right"])
+    left = _graph_from_record(payload.get("left"))
+    right = _graph_from_record(payload.get("right"))
     _emit(config, _graph_to_record(graphs.disjoint_union(left, right)))
     return 0
 

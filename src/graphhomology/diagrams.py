@@ -31,17 +31,7 @@ __all__ = [
     "phi",
     "package",
     "varphi_inverse",
-    "BadShapeError",
-    "LowValenceError",
 ]
-
-
-class BadShapeError(ValueError):
-    pass
-
-
-class LowValenceError(ValueError):
-    pass
 
 
 def _shape_parts(shape) -> tuple[int, ...]:
@@ -51,7 +41,7 @@ def _shape_parts(shape) -> tuple[int, ...]:
     """
     shape = tuple(shape)
     if any(type(k) is not int for k in shape):
-        raise BadShapeError(f"shape parts must be integers, got {shape}")
+        raise ValueError(f"shape parts must be integers, got {shape}")
     return shape
 
 
@@ -105,7 +95,7 @@ def package(d: ChordDiagram, shape) -> LinComb:
     """
     shape = _shape_parts(shape)
     if any(k < 2 for k in shape) or sum(shape) != 2 * len(d):
-        raise BadShapeError(f"shape {shape} incompatible with {2 * len(d)} slots")
+        raise ValueError(f"shape {shape} incompatible with {2 * len(d)} slots")
     owner = [0]
     for k, size in enumerate(shape, start=1):
         owner.extend([k] * size)
@@ -131,7 +121,7 @@ def varphi_inverse(g: Graph) -> ChordDiagram:
     """
     vals = valences(g)
     if any(v < 2 for v in vals):
-        raise LowValenceError(f"every vertex needs valence >= 2, got {vals}")
+        raise ValueError(f"every vertex needs valence >= 2, got {vals}")
     free = [0, 1]
     for v in vals:
         free.append(free[-1] + v)

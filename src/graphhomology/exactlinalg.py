@@ -39,7 +39,6 @@ __all__ = [
     "ChainContraction",
     "chain_contraction",
     "NotAComplexError",
-    "DegreeOutOfRangeError",
 ]
 
 
@@ -199,10 +198,6 @@ class LinComb:
 
 class NotAComplexError(ValueError):
     """Raised when a composite differential fails to vanish."""
-
-
-class DegreeOutOfRangeError(KeyError):
-    """Raised when a degree outside the slice is requested."""
 
 
 @dataclass(frozen=True)
@@ -443,7 +438,7 @@ class ChainComplexSlice:
     def dim(self, k: int) -> int:
         lo, hi = self.degrees
         if not (lo <= k <= hi):
-            raise DegreeOutOfRangeError(k)
+            raise KeyError(k)
         return len(self.basis[k])
 
 

@@ -65,30 +65,9 @@ __all__ = [
     "lie_differential",
     "enumerate_graphs",
     "valences",
-    "BadVertexError",
-    "SizeMismatchError",
-    "OrbitTooLargeError",
     "LIE_CLASS_MAX_N",
     "ENUMERATE_MAX_GRAPHS",
 ]
-
-
-class BadVertexError(ValueError):
-    pass
-
-
-class SizeMismatchError(ValueError):
-    pass
-
-
-class OrbitTooLargeError(ValueError):
-    """A relabelling search too large to promise: more than LIE_CLASS_MAX_N vertices.
-
-    lie_class prunes by refinement and twins, but its search stays
-    exponential in the worst case: it keeps every minimising relabelling,
-    so it grows with the automorphism group (720 leaves for six disjoint
-    edges).
-    """
 
 
 @total_ordering
@@ -142,14 +121,14 @@ _set_n, _set_edges, _set_hash = (
 def graph(n: int, edges) -> Graph:
     """Build a canonical Graph, sorting pairs and the multiset; loops rejected."""
     if n < 0:
-        raise BadVertexError(f"a graph needs n >= 0 vertices, not {n}")
+        raise ValueError(f"a graph needs n >= 0 vertices, not {n}")
     written = []
     for e in edges:
         i, j = e
         if i == j:
             raise ValueError(f"loop at vertex {i}; loops are not graph basis elements")
         if not (1 <= i <= n and 1 <= j <= n):
-            raise BadVertexError(f"edge {e} outside vertex range 1..{n}")
+            raise ValueError(f"edge {e} outside vertex range 1..{n}")
         written.append((i, j))
     return Graph(n, _signed_pairs(written)[1])
 
@@ -313,12 +292,16 @@ def sigma_act(perm, g: Graph) -> LinComb:
     """
     perm = tuple(perm)
     if len(perm) != g.n or sorted(perm) != list(range(1, g.n + 1)):
-        raise SizeMismatchError(f"permutation {perm} does not act on {g.n} vertices")
+        raise ValueError(f"permutation {perm} does not act on {g.n} vertices")
     # a bijection keeps g loopless, so the relabelled pairs never vanish
     flips, edges = _signed_pairs((perm[i - 1], perm[j - 1]) for i, j in g.edges)
     return LinComb.of(Graph(g.n, edges), perm_sign(perm) * flips)
 
 
+# lie_class refuses a graph with more vertices: it prunes by refinement and
+# twins, but its search stays exponential in the worst case, since it keeps
+# every minimising relabelling and so grows with the automorphism group (720
+# leaves for six disjoint edges)
 LIE_CLASS_MAX_N = 12
 
 
@@ -394,7 +377,7 @@ def lie_class(g: Graph) -> LinComb:
     enumeration `_lie_orbit_min`.
     """
     if g.n > LIE_CLASS_MAX_N:
-        raise OrbitTooLargeError(
+        raise ValueError(
             f"lie_class searches relabellings of {g.n} vertices; at most "
             f"{LIE_CLASS_MAX_N} vertices are supported")
     m = _multiplicities(g)

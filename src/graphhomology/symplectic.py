@@ -46,7 +46,7 @@ from functools import total_ordering
 from typing import Iterator
 
 from .exactlinalg import LinComb
-from .diagrams import BadShapeError, _shape_parts, varphi_inverse
+from .diagrams import _shape_parts, varphi_inverse
 from .graphs import Graph, _signed_pairs, valences
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "random_split_word",
     "word_to_graphs",
     "graph_to_word",
-    "BadShapeError",
     "WORD_MAX_MATCHINGS",
 ]
 
@@ -99,6 +98,10 @@ def _parse_monomial(text: str) -> Monomial:
         if not m:
             raise ValueError(f"bad generator token {tok!r}")
         kind, idx, exp = m.group(1), int(m.group(2)), int(m.group(3) or 1)
+        # refused before its generators are listed: matched, such a power has
+        # more matchings than that, and the list alone can exhaust memory
+        if exp > WORD_MAX_MATCHINGS:
+            raise ValueError(f"the power in {tok!r} is above {WORD_MAX_MATCHINGS}")
         gens.extend([gen(kind, idx)] * exp)
     return monomial(gens)
 
@@ -295,7 +298,7 @@ def split_S(pairs, shape) -> TensorWord:
     shape = _shape_parts(shape)
     slots = 2 * len(pairs)
     if sum(shape) != slots or any(k < 1 for k in shape):
-        raise BadShapeError(f"shape {shape} incompatible with {slots} slots")
+        raise ValueError(f"shape {shape} incompatible with {slots} slots")
     if sorted(s for p in pairs for s in p) != list(range(1, slots + 1)):
         raise ValueError(f"pairs {pairs} do not fill 1..{slots}")
     flat = [None] * slots

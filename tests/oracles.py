@@ -7,7 +7,6 @@ are written from their definitions, not through the code they check.
 
 import itertools
 
-from graphhomology.bialgebra import LengthMismatchError
 from graphhomology.diagrams import varphi_inverse
 from graphhomology.exactlinalg import LinComb
 from graphhomology.graphs import graph, valences
@@ -163,7 +162,7 @@ def check_interchange_unsigned(w: TensorWord, p: int, q: int) -> LinComb:
     """The defect of the interchange law with unsigned shuffles and no
     (-1)^p: the negative control, which fails in general."""
     if len(w.factors) != p + q + 1:
-        raise LengthMismatchError(f"word has {len(w.factors)} factors, need {p + q + 1}")
+        raise ValueError(f"word has {len(w.factors)} factors, need {p + q + 1}")
     lhs = LinComb.zero()
     for term, c in leibniz_differential(LinComb.of(w)).items():
         lhs = lhs + unsigned_cohalf_pq(term, p, q).scale(c)

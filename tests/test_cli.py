@@ -138,59 +138,77 @@ def test_convert_route_prints_exact_json(src, dst, payload, expected, tmp_path, 
     assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("argv, payload", [
-    (["diff", "--lie"], {"n": -1, "edges": []}),
-    (["coproduct"], {"n": -1, "edges": []}),
-    (["product"], {"left": {"n": -1, "edges": []}, "right": {"n": 1, "edges": []}}),
-    (["diff"], {"n": 2, "edges": [[1, "2"]]}),
-    (["diff"], {"n": 2.0, "edges": [[1, 2]]}),
-    (["diff"], {"n": True, "edges": []}),
-    (["convert", "--from", "word", "--to", "graph"], ["p1 q1", 3]),
+# each input with the start of the message that refuses it
+MALFORMED_INPUTS = [
+    (["diff", "--lie"], {"n": -1, "edges": []}, "a graph needs n >= 0 vertices, not -1"),
+    (["coproduct"], {"n": -1, "edges": []}, "a graph needs n >= 0 vertices, not -1"),
+    (["product"], {"left": {"n": -1, "edges": []}, "right": {"n": 1, "edges": []}},
+     "a graph needs n >= 0 vertices, not -1"),
+    (["diff"], {"n": 2, "edges": [[1, "2"]]}, "n and edge vertices must be integers, not '2'"),
+    (["diff"], {"n": 2.0, "edges": [[1, 2]]}, "n and edge vertices must be integers, not 2.0"),
+    (["diff"], {"n": True, "edges": []}, "n and edge vertices must be integers, not True"),
+    (["convert", "--from", "word", "--to", "graph"], ["p1 q1", 3],
+     "a word is a list of factor strings, not ['p1 q1', 3]"),
     (["convert", "--from", "diagram", "--to", "graph"],
-     {"shape": [2], "pairs": [[1, "2"]]}),
+     {"shape": [2], "pairs": [[1, "2"]]}, "shape parts and slots must be integers, not '2'"),
     (["convert", "--from", "diagram", "--to", "monomial"],
-     {"shape": ["2"], "pairs": [[1, 2]]}),
-    (["convert", "--from", "monomial", "--to", "diagram"], {"pairs": [["1", 2]]}),
+     {"shape": ["2"], "pairs": [[1, 2]]}, "shape parts and slots must be integers, not '2'"),
+    (["convert", "--from", "monomial", "--to", "diagram"], {"pairs": [["1", 2]]},
+     "shape parts and slots must be integers, not '1'"),
     (["convert", "--from", "monomial", "--to", "word"],
-     {"shape": [2.5], "pairs": [[1, 2]]}),
+     {"shape": [2.5], "pairs": [[1, 2]]}, "shape parts and slots must be integers, not 2.5"),
     (["convert", "--from", "monomial", "--to", "word"],
-     {"shape": [2], "pairs": [[0, 1]]}),
+     {"shape": [2], "pairs": [[0, 1]]}, "pairs [(0, 1)] do not fill 1..2"),
     # records of the wrong shape, not only with the wrong numbers
-    (["diff"], {"n": 2, "edges": [5]}),
-    (["diff"], [{"coeff": 0.5, "graph": G_REC}]),
-    (["coproduct"], [G_REC]),
-    (["product"], {"left": 3, "right": 4}),
-    (["convert", "--from", "monomial", "--to", "word"], {"shape": 2, "pairs": [[1, 2]]}),
-    (["convert", "--from", "diagram", "--to", "graph"], {"shape": 2, "pairs": [[1, 2]]}),
+    (["diff"], {"n": 2, "edges": [5]}, "an edge has the wrong type: 5"),
+    (["diff"], [{"coeff": 0.5, "graph": G_REC}], "a coefficient has the wrong type: 0.5"),
+    (["coproduct"], [G_REC], "a graph record has the wrong type: [{"),
+    (["product"], {"left": 3, "right": 4}, "a graph record has the wrong type: 3"),
+    (["convert", "--from", "monomial", "--to", "word"], {"shape": 2, "pairs": [[1, 2]]},
+     "a shape has the wrong type: 2"),
+    (["convert", "--from", "diagram", "--to", "graph"], {"shape": 2, "pairs": [[1, 2]]},
+     "a shape has the wrong type: 2"),
     # a JSON true is not a coefficient, and a falsy shape is not an absent one
-    (["diff"], [{"coeff": True, "graph": {"n": 2, "edges": [[1, 2]]}}]),
-    (["convert", "--from", "monomial", "--to", "diagram"], {"shape": 0, "pairs": [[1, 2]]}),
+    (["diff"], [{"coeff": True, "graph": {"n": 2, "edges": [[1, 2]]}}],
+     "a coefficient has the wrong type: True"),
+    (["convert", "--from", "monomial", "--to", "diagram"], {"shape": 0, "pairs": [[1, 2]]},
+     "a shape has the wrong type: 0"),
     (["convert", "--from", "monomial", "--to", "diagram"],
-     {"shape": False, "pairs": [[1, 2]]}),
-    (["convert", "--from", "monomial", "--to", "diagram"], {"shape": "", "pairs": [[1, 2]]}),
+     {"shape": False, "pairs": [[1, 2]]}, "a shape has the wrong type: False"),
+    (["convert", "--from", "monomial", "--to", "diagram"], {"shape": "", "pairs": [[1, 2]]},
+     "a shape has the wrong type: ''"),
     # a diagram record needs a shape, so monomial→diagram refuses to write one
     # without it
-    (["convert", "--from", "monomial", "--to", "diagram"], {"pairs": [[1, 3], [2, 4]]}),
+    (["convert", "--from", "monomial", "--to", "diagram"], {"pairs": [[1, 3], [2, 4]]},
+     "monomial→diagram needs a shape"),
     (["convert", "--from", "monomial", "--to", "diagram"],
-     {"pairs": [[1, 3], [2, 4]], "shape": None}),
+     {"pairs": [[1, 3], [2, 4]], "shape": None}, "monomial→diagram needs a shape"),
     (["convert", "--from", "monomial", "--to", "diagram"],
-     {"pairs": [[1, 3], [2, 4]], "shape": []}),
+     {"pairs": [[1, 3], [2, 4]], "shape": []}, "monomial→diagram needs a shape"),
     # a zero denominator is not a rational
-    (["diff"], [{"coeff": "1/0", "graph": G_REC}]),
+    (["diff"], [{"coeff": "1/0", "graph": G_REC}], "zero denominator in '1/0'"),
     # graph and diagram records are canonical: a pair written high end first
     # is refused, not read with either sign, and an edge must lie on 1..n
-    (["diff"], {"n": 2, "edges": [[2, 1]]}),
+    (["diff"], {"n": 2, "edges": [[2, 1]]}, "an edge must be written low end first, not [2, 1]"),
     (["convert", "--from", "diagram", "--to", "graph"],
-     {"shape": [2, 2], "pairs": [[3, 1], [2, 4]]}),
-    (["diff"], {"n": 2, "edges": [[1, 3]]}),
-])
-def test_malformed_input_is_a_usage_error(argv, payload, tmp_path, capsys):
+     {"shape": [2, 2], "pairs": [[3, 1], [2, 4]]},
+     "a pair must be written low end first, not [3, 1]"),
+    (["diff"], {"n": 2, "edges": [[1, 3]]}, "edge (1, 3) outside vertex range 1..2"),
+]
+
+
+# an input's id is its position, argv<k>-payload<k>, without the long fragment
+@pytest.mark.parametrize("argv, payload, fragment", MALFORMED_INPUTS,
+                         ids=[f"argv{k}-payload{k}" for k in range(len(MALFORMED_INPUTS))])
+def test_malformed_input_is_a_usage_error(argv, payload, fragment, tmp_path, capsys):
+    # every refusal is a ValueError, so only its message shows which check
+    # refused the input
     path = write_json(tmp_path, "bad.json", payload)
     rc = main(argv + ["--input", path])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert captured.err.startswith("usage error:")
+    assert captured.err.startswith(f"usage error: {fragment}")
 
 
 @pytest.mark.parametrize("argv, payload, message", [
@@ -200,6 +218,20 @@ def test_malformed_input_is_a_usage_error(argv, payload, tmp_path, capsys):
      {"shape": [2, 2], "pairs": [[1, 3], [2, 4, 5]]}, "a pair must have two ends, not [2, 4, 5]"),
     (["convert", "--from", "monomial", "--to", "word"],
      {"shape": [2], "pairs": [[]]}, "a pair must have two ends, not []"),
+    # a missing field is refused as a null one is, by the part it names
+    (["diff"], {"n": 3}, "edges has the wrong type: None"),
+    (["diff"], {"edges": [[1, 2]]}, "n and edge vertices must be integers, not None"),
+    (["diff"], [{"graph": G_REC}], "a coefficient has the wrong type: None"),
+    (["diff"], [{"coeff": "1"}], "a graph record has the wrong type: None"),
+    (["convert", "--from", "diagram", "--to", "graph"], {"shape": [2]},
+     "pairs has the wrong type: None"),
+    (["product"], {"right": G_REC}, "a graph record has the wrong type: None"),
+    (["product"], {"left": G_REC}, "a graph record has the wrong type: None"),
+    # listing the generators of p1^(10^12) would exhaust memory
+    (["convert", "--from", "word", "--to", "monomial"], ["p1^1000000000000 q1"],
+     "the power in 'p1^1000000000000' is above 362880"),
+    (["convert", "--from", "word", "--to", "graph"], ["p1^1000000000000 q1"],
+     "the power in 'p1^1000000000000' is above 362880"),
 ])
 def test_wrong_length_edge_or_pair_is_refused_by_name(argv, payload, message, tmp_path, capsys):
     path = write_json(tmp_path, "bad.json", payload)

@@ -6,8 +6,6 @@ import pytest
 
 from graphhomology.exactlinalg import LinComb
 from graphhomology.diagrams import (
-    BadShapeError,
-    LowValenceError,
     chord_diagram,
     package,
     pair_monomial,
@@ -118,16 +116,16 @@ def test_package_zero_and_worked():
     cls = package(D_EX, (3, 3, 2))
     assert cls == LinComb.of(G_EX)
     assert packaged(G_EX) == ((3, 3, 2), ((1, 4), (2, 5), (3, 7), (6, 8)))
-    with pytest.raises(BadShapeError):
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) incompatible with 8 slots"):
         package(D_EX, (3, 3))
-    with pytest.raises(BadShapeError):
+    with pytest.raises(ValueError, match=r"shape \(1, 5, 2\) incompatible with 8 slots"):
         package(D_EX, (1, 5, 2))
 
 
 def test_package_refuses_non_integer_shape_parts():
     d = chord_diagram([(1, 3), (2, 4)])
     for shape in ((2.5, 2.5), (2.0, 2), ("2", "2")):
-        with pytest.raises(BadShapeError):
+        with pytest.raises(ValueError, match="shape parts must be integers"):
             package(d, shape)
 
 
@@ -176,7 +174,7 @@ def test_varphi_worked_examples():
 def test_varphi_inverse_worked_examples():
     assert varphi_inverse(G_EX) == ((1, 4), (2, 5), (3, 7), (6, 8))
     assert varphi_inverse(graph(2, [(1, 2), (1, 2)])) == ((1, 3), (2, 4))
-    with pytest.raises(LowValenceError):
+    with pytest.raises(ValueError, match="every vertex needs valence >= 2"):
         varphi_inverse(graph(2, [(1, 2)]))
 
 
@@ -204,7 +202,7 @@ def test_diagram_records():
     rec = _diagram_to_record(G_EX)
     assert rec == {"shape": [3, 3, 2], "pairs": [[1, 4], [2, 5], [3, 7], [6, 8]]}
     assert _diagram_from_record(rec) == LinComb.of(G_EX)
-    with pytest.raises(LowValenceError):
+    with pytest.raises(ValueError, match="every vertex needs valence >= 2"):
         _diagram_to_record(graph(2, [(1, 2)]))
 
 

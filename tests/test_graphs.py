@@ -10,8 +10,6 @@ from graphhomology.exactlinalg import LinComb
 from graphhomology import graphs
 from graphhomology.graphs import (
     Graph,
-    OrbitTooLargeError,
-    SizeMismatchError,
     UNIT,
     connected_components,
     differential,
@@ -270,7 +268,7 @@ def test_components_round_trip_on_assembled():
 
 def test_sigma_act_identity_and_size_check():
     assert sigma_act((1, 2, 3), G_EX) == LinComb.of(G_EX)
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(ValueError, match=r"permutation \(1, 2\) does not act on 3 vertices"):
         sigma_act((1, 2), G_EX)
 
 
@@ -309,7 +307,7 @@ def test_lie_class_values():
 def test_lie_class_refuses_thirteen_vertices():
     # the search stays exponential in the worst case; the guard fires first
     path = graph(13, [(k, k + 1) for k in range(1, 13)])
-    with pytest.raises(OrbitTooLargeError):
+    with pytest.raises(ValueError, match="relabellings of 13 vertices; at most 12"):
         lie_class(path)
 
 

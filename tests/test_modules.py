@@ -1,5 +1,6 @@
-"""Every graphhomology module exports only names it defines, and only
-`exactlinalg` reaches into a `LinComb`."""
+"""Every graphhomology submodule exports only names it defines (the package
+`__init__` re-exports `exactlinalg`'s by design), `exactlinalg` defines the one
+exception class, and only `exactlinalg` reaches into a `LinComb`."""
 
 import ast
 import importlib
@@ -20,6 +21,41 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [export for export in module.__all__ if not hasattr(module, export)]
     assert not missing, missing
+
+
+SUBMODULES = MODULES[1:]
+
+
+def _top_level_bindings(tree: ast.Module) -> set[str]:
+    """The names a module binds by def, class or assignment, not by import."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return bound
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_exported_name_is_defined_in_its_module(name):
+    # a re-exported name would give one object two homes
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    foreign = sorted(set(module.__all__) - _top_level_bindings(tree))
+    assert not foreign, f"{name} exports names it does not define: {foreign}"
+
+
+def test_exactlinalg_defines_the_one_exception_class():
+    # a refused input raises a plain ValueError; NotAComplexError reports a
+    # defect of a complex, which a caller may catch by type
+    found = sorted(f"{name}.{obj.__name__}"
+                   for name in SUBMODULES
+                   for obj in vars(importlib.import_module(name)).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == name)
+    assert found == ["graphhomology.exactlinalg.NotAComplexError"]
 
 
 @pytest.mark.parametrize("path", sorted(Path(graphhomology.__file__).parent.glob("*.py")),
