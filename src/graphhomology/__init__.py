@@ -7,6 +7,4 @@ half-shuffle bialgebra layer, and the loop-order stripes of the graph
 complex.
 """
 
-from .exactlinalg import LinComb, Rational, SparseMatrix, homology_dims, rank
-
-__all__ = ["LinComb", "Rational", "SparseMatrix", "homology_dims", "rank"]
+__all__: list[str] = []

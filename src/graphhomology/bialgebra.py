@@ -184,12 +184,12 @@ SERIES_MAX_DEGREE = 16
 
 def series_f(degree_bound: int) -> LinComb:
     """Right combs, all coefficients +1."""
-    return LinComb({right_comb(n): 1 for n in range(1, degree_bound + 1)})
+    return LinComb.sum((right_comb(n), 1) for n in range(1, degree_bound + 1))
 
 
 def series_g(degree_bound: int) -> LinComb:
     """Left combs with alternating signs, +1 on the single leaf."""
-    return LinComb({left_comb(n): (-1) ** (n + 1) for n in range(1, degree_bound + 1)})
+    return LinComb.sum((left_comb(n), (-1) ** (n + 1)) for n in range(1, degree_bound + 1))
 
 
 def identity_series(degree_bound: int) -> LinComb:
@@ -214,7 +214,7 @@ def _graft(tree, inner: dict[int, dict], bound: int) -> dict[int, LinComb]:
             for tl, cl in lcl.items():
                 for tr, cr in lcr.items():
                     terms[(tl, tr)] = terms.get((tl, tr), 0) + cl * cr
-    return {d: LinComb(terms) for d, terms in out.items()}
+    return {d: LinComb.sum(terms.items()) for d, terms in out.items()}
 
 
 def mag_compose(outer: LinComb, inner: LinComb, degree_bound: int) -> LinComb:

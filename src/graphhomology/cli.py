@@ -61,6 +61,16 @@ def _require_json(value, kind, what: str):
     return value
 
 
+def _require_fields(rec, what: str, *names: str) -> list:
+    """The fields ``names`` of the record ``rec``, refused unless it is a dict
+    holding each of them; a null field is present, and its reader refuses it."""
+    _require_json(rec, dict, what)
+    for name in names:
+        if name not in rec:
+            raise ValueError(f"{what} has no field {name!r}")
+    return [rec[name] for name in names]
+
+
 def _require_pair(value, what: str) -> tuple:
     """The record part ``value``, a list of two ends, as a tuple."""
     pair = tuple(_require_json(value, list, what))
@@ -83,11 +93,11 @@ def _graph_to_record(g: graphs.Graph) -> dict:
 
 
 def _graph_from_record(rec) -> graphs.Graph:
-    _require_json(rec, dict, "a graph record")
-    edges = [_require_pair(e, "an edge") for e in _require_json(rec.get("edges"), list, "edges")]
-    _require_ints([rec.get("n"), *(v for e in edges for v in e)], "n and edge vertices")
+    n, edges = _require_fields(rec, "a graph record", "n", "edges")
+    edges = [_require_pair(e, "an edge") for e in _require_json(edges, list, "edges")]
+    _require_ints([n, *(v for e in edges for v in e)], "n and edge vertices")
     _require_low_first(edges, "an edge")
-    return graphs.graph(rec["n"], edges)
+    return graphs.graph(n, edges)
 
 
 def _lincomb_to_records(x: LinComb) -> list[dict]:
@@ -97,17 +107,17 @@ def _lincomb_to_records(x: LinComb) -> list[dict]:
 
 def _lincomb_from_records(recs) -> LinComb:
     def term(rec):
-        _require_json(rec, dict, "a term record")
-        coeff = _require_json(rec.get("coeff"), (int, str), "a coefficient")
-        return _graph_from_record(rec.get("graph")), rational(coeff)
+        coeff, g = _require_fields(rec, "a term record", "coeff", "graph")
+        coeff = _require_json(coeff, (int, str), "a coefficient")
+        return _graph_from_record(g), rational(coeff)
 
     return LinComb.sum(map(term, recs))
 
 
 def _pairs_and_shape(rec, what: str):
     """A monomial or diagram record's pairs and shape, None when absent or null."""
-    _require_json(rec, dict, what)
-    pairs = [_require_pair(p, "a pair") for p in _require_json(rec.get("pairs"), list, "pairs")]
+    [pairs] = _require_fields(rec, what, "pairs")
+    pairs = [_require_pair(p, "a pair") for p in _require_json(pairs, list, "pairs")]
     shape = rec.get("shape")
     if shape is not None:
         shape = tuple(_require_json(shape, list, "a shape"))
@@ -171,9 +181,8 @@ def _cmd_coproduct(config: argparse.Namespace):
 
 
 def _cmd_product(config: argparse.Namespace):
-    payload = _require_json(_load_input(config), dict, "a product record")
-    left = _graph_from_record(payload.get("left"))
-    right = _graph_from_record(payload.get("right"))
+    left, right = _require_fields(_load_input(config), "a product record", "left", "right")
+    left, right = _graph_from_record(left), _graph_from_record(right)
     _emit(config, _graph_to_record(graphs.disjoint_union(left, right)))
     return 0
 

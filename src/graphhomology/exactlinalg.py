@@ -7,8 +7,8 @@ A `LinComb` stores no zero coefficient.  Every module outside this one
 builds a computed combination with `LinComb.sum`, which adds its terms and
 drops the keys that cancel, so that rule is kept here alone.
 A `SparseMatrix` stores compressed rows, three flat tuples that only this
-module reads; `_assemble` lays every nonzero matrix out from flat lists of
-rows, columns and values.
+module reads; `_assemble` lays every matrix out from flat lists of rows,
+columns and values.
 `rank` and `chain_contraction` share one fraction-free elimination, which
 scales each row to integers; a Fraction appears only where a value is not
 integral and in the back substitution that gives a contraction's h.
@@ -67,20 +67,14 @@ class LinComb:
     coefficient maps, in which 1 and Fraction(1) are equal.  Basis elements
     are expected to be in canonical form already: each basis type owns its
     canonicalization and exposes constructors returning LinComb values.
-    ``LinComb(mapping)`` coerces a given map of coefficients; a computed
-    combination is summed only by `sum`, from its (key, coefficient) terms.
+    ``LinComb()`` is zero, `of` gives one term, and `sum` builds every other
+    combination from its (key, coefficient) terms.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Hashable, Rational] | None = None):
-        clean = {}
-        if terms:
-            for key, val in terms.items():
-                val = rational(val)
-                if val:
-                    clean[key] = val
-        self._terms = clean
+    def __init__(self):
+        self._terms = {}
 
     @classmethod
     def _adopt(cls, terms: dict) -> "LinComb":
@@ -119,12 +113,6 @@ class LinComb:
     def items(self) -> Iterator[tuple[Hashable, Rational]]:
         return iter(self._terms.items())
 
-    def keys(self):
-        return self._terms.keys()
-
-    def coeff(self, key: Hashable) -> Rational:
-        return self._terms.get(key, 0)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -136,9 +124,6 @@ class LinComb:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "LinComb") -> "LinComb":
         out = dict(self._terms)
@@ -206,21 +191,17 @@ class SparseMatrix:
 
     Row r holds the columns ``indices[indptr[r]:indptr[r + 1]]`` in
     ascending order, with its values at the same positions of ``data``; no
-    zero is stored.  ``SparseMatrix(rows, cols)`` is the zero matrix, and
-    every other matrix is laid out by `_assemble`.  Integer entries stay ints
+    zero is stored.  Every matrix, the zero one too, is laid out by
+    `_assemble`, directly or through `from_entries`.  Integer entries stay ints
     through `compose`, so the d∘d check of an integral complex runs in
     integer arithmetic.
     """
 
     rows: int
     cols: int
-    indptr: tuple[int, ...] | None = None
-    indices: tuple[int, ...] = ()
-    data: tuple[Rational, ...] = ()
-
-    def __post_init__(self):
-        if self.indptr is None:
-            object.__setattr__(self, "indptr", (0,) * (self.rows + 1))
+    indptr: tuple[int, ...]
+    indices: tuple[int, ...]
+    data: tuple[Rational, ...]
 
     @classmethod
     def from_entries(cls, rows: int, cols: int,
@@ -410,9 +391,9 @@ class ChainComplexSlice:
 
     ``basis[k]`` lists canonical basis elements of degree k for every k in
     ``degrees`` (an inclusive (lo, hi) pair); ``d[k]`` sends degree-k
-    coordinates to degree-(k-1) coordinates and exists whenever both degrees
-    are in range; ``complete[k]`` records that the degree-k basis is provably
-    complete within the stated truncation bounds.
+    coordinates to degree-(k-1) coordinates for lo < k <= hi, and an absent
+    ``d[k]`` is the zero map; ``complete[k]`` records that the degree-k basis
+    is provably complete within the stated truncation bounds.
     """
 
     degrees: tuple[int, int]
@@ -434,12 +415,6 @@ class ChainComplexSlice:
             if k in self.d and (k - 1) in self.d:
                 if not self.d[k - 1].compose(self.d[k]).is_zero():
                     raise NotAComplexError(f"d∘d nonzero at degree {k}")
-
-    def dim(self, k: int) -> int:
-        lo, hi = self.degrees
-        if not (lo <= k <= hi):
-            raise KeyError(k)
-        return len(self.basis[k])
 
 
 def homology_dims(c: ChainComplexSlice) -> dict[int, tuple[int, bool]]:
@@ -517,12 +492,11 @@ class ChainContraction:
 
     def homology_dim(self, k: int) -> int:
         """dim H_k = dim C_k - rank d_k - rank d_{k+1}."""
-        return (self.chain.dim(k) - self.ranks.get(k, 0)
-                - self.ranks.get(k + 1, 0))
+        return len(self.chain.basis[k]) - self.ranks.get(k, 0) - self.ranks.get(k + 1, 0)
 
     def projection(self, k: int) -> SparseMatrix:
         """π_k = Id - d_{k+1} h_k - h_{k-1} d_k as a square matrix."""
-        dim = self.chain.dim(k)
+        dim = len(self.chain.basis[k])
         entries: dict[tuple[int, int], Rational] = {
             (i, i): 1 for i in range(dim)}
         terms = []
@@ -554,7 +528,9 @@ def chain_contraction(c: ChainComplexSlice) -> ChainContraction:
     ranks: dict[int, int] = {}
     lower_pivots: set[int] = set()
     for k in range(lo, hi):
-        d = c.d.get(k + 1, SparseMatrix(len(c.basis[k]), len(c.basis[k + 1])))
+        d = c.d.get(k + 1)
+        if d is None:
+            d = SparseMatrix.from_entries(len(c.basis[k]), len(c.basis[k + 1]), {})
         entries, lower_pivots = _pivot_inverse(d, lower_pivots)
         h[k] = SparseMatrix.from_entries(d.cols, d.rows, entries)
         ranks[k + 1] = len(lower_pivots)

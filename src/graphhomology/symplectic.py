@@ -52,10 +52,8 @@ from .graphs import Graph, _signed_pairs, valences
 __all__ = [
     "Monomial",
     "TensorWord",
-    "UNIT_WORD",
     "gen",
     "monomial",
-    "word",
     "word_from_strings",
     "word_to_strings",
     "poisson_bracket",
@@ -181,13 +179,6 @@ class TensorWord:
 
 
 _set_factors, _set_hash = TensorWord.factors.__set__, TensorWord._hash.__set__
-
-
-UNIT_WORD = TensorWord(())
-
-
-def word(factors) -> TensorWord:
-    return TensorWord(tuple(monomial(f) for f in factors))
 
 
 def word_from_strings(texts) -> TensorWord:

@@ -84,8 +84,8 @@ def test_zinbiel_coalgebra_negative_control():
     # dropping one shuffle term breaks the law on a three-component product
     g = assemble([H1, H1, graph(1, [])])
     red = reduced_cohalf_shuffle(g)
-    [first] = sorted(red.keys())[:1]
-    corrupted = red - LinComb.of(first, red.coeff(first))
+    first, coeff = min(red.items(), key=lambda kv: kv[0])
+    corrupted = red - LinComb.of(first, coeff)
 
     def left_expand(pair):
         a, b = pair

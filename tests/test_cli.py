@@ -218,20 +218,29 @@ def test_malformed_input_is_a_usage_error(argv, payload, fragment, tmp_path, cap
      {"shape": [2, 2], "pairs": [[1, 3], [2, 4, 5]]}, "a pair must have two ends, not [2, 4, 5]"),
     (["convert", "--from", "monomial", "--to", "word"],
      {"shape": [2], "pairs": [[]]}, "a pair must have two ends, not []"),
-    # a missing field is refused as a null one is, by the part it names
-    (["diff"], {"n": 3}, "edges has the wrong type: None"),
-    (["diff"], {"edges": [[1, 2]]}, "n and edge vertices must be integers, not None"),
-    (["diff"], [{"graph": G_REC}], "a coefficient has the wrong type: None"),
-    (["diff"], [{"coeff": "1"}], "a graph record has the wrong type: None"),
-    (["convert", "--from", "diagram", "--to", "graph"], {"shape": [2]},
+    # a null field is refused by the part it names
+    (["diff"], {"n": 3, "edges": None}, "edges has the wrong type: None"),
+    (["diff"], {"n": None, "edges": [[1, 2]]}, "n and edge vertices must be integers, not None"),
+    (["diff"], [{"coeff": None, "graph": G_REC}], "a coefficient has the wrong type: None"),
+    (["diff"], [{"coeff": "1", "graph": None}], "a graph record has the wrong type: None"),
+    (["convert", "--from", "diagram", "--to", "graph"], {"shape": [2], "pairs": None},
      "pairs has the wrong type: None"),
-    (["product"], {"right": G_REC}, "a graph record has the wrong type: None"),
-    (["product"], {"left": G_REC}, "a graph record has the wrong type: None"),
+    (["product"], {"left": None, "right": G_REC}, "a graph record has the wrong type: None"),
+    (["product"], {"left": G_REC, "right": None}, "a graph record has the wrong type: None"),
     # listing the generators of p1^(10^12) would exhaust memory
     (["convert", "--from", "word", "--to", "monomial"], ["p1^1000000000000 q1"],
      "the power in 'p1^1000000000000' is above 362880"),
     (["convert", "--from", "word", "--to", "graph"], ["p1^1000000000000 q1"],
      "the power in 'p1^1000000000000' is above 362880"),
+    # a missing field is refused by its name
+    (["diff"], {"n": 3}, "a graph record has no field 'edges'"),
+    (["diff"], {"edges": [[1, 2]]}, "a graph record has no field 'n'"),
+    (["diff"], [{"graph": G_REC}], "a term record has no field 'coeff'"),
+    (["diff"], [{"coeff": "1"}], "a term record has no field 'graph'"),
+    (["convert", "--from", "diagram", "--to", "graph"], {"shape": [2]},
+     "a diagram record has no field 'pairs'"),
+    (["product"], {"right": G_REC}, "a product record has no field 'left'"),
+    (["product"], {"left": G_REC}, "a product record has no field 'right'"),
 ])
 def test_wrong_length_edge_or_pair_is_refused_by_name(argv, payload, message, tmp_path, capsys):
     path = write_json(tmp_path, "bad.json", payload)
@@ -443,6 +452,17 @@ def test_verify_contraction_passes(capsys):
     assert lines[-1] == "all 9 items pass"
 
 
+def test_verify_contraction_reaches_the_nonzero_class(capsys):
+    # at loop 2, degree 5 the labelled mixed stripe has b5 = 4, so π is not
+    # zero there, and it must still be a projection of rank b onto cycles
+    rc, out = run_cli(["verify", "--suite", "contraction", "--vertices", "5",
+                       "--edges", "7"], capsys)
+    lines = out.splitlines()
+    assert rc == 0
+    assert "OK   loop 2 degree 5 b=4" in lines
+    assert lines[-1] == "all 14 items pass"
+
+
 def test_verify_fail_lines_give_defect_size(capsys, monkeypatch):
     # with h = 0, π = Id: π² = π and rank π = b still hold, but dπ = d and
     # πd = d, so an item fails exactly where a differential at it is nonzero
@@ -459,7 +479,7 @@ def test_verify_fail_lines_give_defect_size(capsys, monkeypatch):
             terms += [(("πd", r, c), v) for (r, c), v in cx.d[k + 1].entries]
             if terms:
                 key, coeff = min(terms)
-                expected.append(f"FAIL loop {loop} degree {k} b={cx.dim(k)} defect "
+                expected.append(f"FAIL loop {loop} degree {k} b={len(cx.basis[k])} defect "
                                 f"terms={len(terms)} smallest={coeff}*{key!r}")
     lines = out.splitlines()
     fails = [ln for ln in lines if ln.startswith("FAIL")]

@@ -169,7 +169,7 @@ def test_lincomb_cancellation_and_identity():
        st.integers(-3, 3),
        st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-4, 4)), max_size=8))
 def test_lincomb_module_laws(t1, t2, s, terms):
-    a, b = LinComb(t1), LinComb(t2)
+    a, b = LinComb.sum(t1.items()), LinComb.sum(t2.items())
     assert a + b == b + a
     assert (a + b).scale(s) == a.scale(s) + b.scale(s)
     assert (a - a).is_zero()
@@ -272,12 +272,10 @@ def test_homology_two_term_acyclic():
 
 
 def test_homology_zero_differential():
-    # each zero map three ways: from no entries, as the bare
-    # SparseMatrix(rows, cols), and left out, which chain_contraction fills
-    # with that bare matrix
+    # each zero map two ways: from no entries, and left out, which
+    # chain_contraction fills with the matrix of no entries
     for d in ({1: SparseMatrix.from_entries(2, 1, {}),
                2: SparseMatrix.from_entries(1, 3, {})},
-              {1: SparseMatrix(2, 1), 2: SparseMatrix(1, 3)},
               {}):
         assert all(m == SparseMatrix.from_entries(m.rows, m.cols, {})
                    and len(m.entries) == 0 and not list(m.entries)
@@ -292,7 +290,8 @@ def test_homology_zero_differential():
         assert [dims[k][0] for k in (0, 1, 2)] == [2, 1, 3]
         assert dims[1][1] is True
         con = chain_contraction(cx)
-        assert con.h[0] == SparseMatrix(1, 2) and con.h[1] == SparseMatrix(3, 1)
+        assert (con.h[0] == SparseMatrix.from_entries(1, 2, {})
+                and con.h[1] == SparseMatrix.from_entries(3, 1, {}))
         assert [con.homology_dim(k) for k in (0, 1, 2)] == [2, 1, 3]
         assert con.projection(2) == from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -309,7 +308,7 @@ def test_not_a_complex_rejected():
 
 def test_degree_out_of_range():
     with pytest.raises(KeyError, match="^5$"):
-        _two_term_acyclic().dim(5)
+        chain_contraction(_two_term_acyclic()).projection(5)
 
 
 def test_homology_invariant_under_basis_order():

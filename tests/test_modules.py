@@ -1,6 +1,6 @@
-"""Every graphhomology submodule exports only names it defines (the package
-`__init__` re-exports `exactlinalg`'s by design), `exactlinalg` defines the one
-exception class, and only `exactlinalg` reaches into a `LinComb`."""
+"""Every graphhomology module exports only names it defines, `exactlinalg`
+defines the one exception class, only `exactlinalg` reaches into a `LinComb`,
+and only `exactlinalg._assemble` builds a `SparseMatrix`."""
 
 import ast
 import importlib
@@ -23,9 +23,6 @@ def test_every_exported_name_resolves(name):
     assert not missing, missing
 
 
-SUBMODULES = MODULES[1:]
-
-
 def _top_level_bindings(tree: ast.Module) -> set[str]:
     """The names a module binds by def, class or assignment, not by import."""
     bound = set()
@@ -38,7 +35,7 @@ def _top_level_bindings(tree: ast.Module) -> set[str]:
     return bound
 
 
-@pytest.mark.parametrize("name", SUBMODULES)
+@pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_is_defined_in_its_module(name):
     # a re-exported name would give one object two homes
     module = importlib.import_module(name)
@@ -51,15 +48,17 @@ def test_exactlinalg_defines_the_one_exception_class():
     # a refused input raises a plain ValueError; NotAComplexError reports a
     # defect of a complex, which a caller may catch by type
     found = sorted(f"{name}.{obj.__name__}"
-                   for name in SUBMODULES
+                   for name in MODULES
                    for obj in vars(importlib.import_module(name)).values()
                    if isinstance(obj, type) and issubclass(obj, BaseException)
                    and obj.__module__ == name)
     assert found == ["graphhomology.exactlinalg.NotAComplexError"]
 
 
-@pytest.mark.parametrize("path", sorted(Path(graphhomology.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.stem)
+SOURCES = sorted(Path(graphhomology.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
 def test_only_exactlinalg_touches_lincomb_internals(path):
     # every other module builds a computed combination with LinComb.sum, so
     # the rule that no zero coefficient is stored is kept in one module
@@ -71,3 +70,27 @@ def test_only_exactlinalg_touches_lincomb_internals(path):
                     if isinstance(node, ast.Attribute) and node.attr in private
                     or isinstance(node, ast.Name) and node.id in private})
     assert not found, f"{path.name} reads LinComb internals on lines {found}"
+
+
+def _sparse_matrix_calls(tree: ast.AST) -> set[int]:
+    """The lines on which ``tree`` calls SparseMatrix(...)."""
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "SparseMatrix" in (getattr(node.func, "id", None),
+                                   getattr(node.func, "attr", None))}
+
+
+def test_every_sparse_matrix_is_laid_out_by_assemble():
+    # every matrix, the zero one too, gets its compressed rows from one
+    # constructor, so no second layout can disagree with it
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = _sparse_matrix_calls(tree)
+        if path.stem == "exactlinalg":
+            [assemble] = [node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_assemble"]
+            assert len(_sparse_matrix_calls(assemble)) == 1
+            calls -= _sparse_matrix_calls(assemble)
+        found += [f"{path.name}:{line}" for line in sorted(calls)]
+    assert not found, f"SparseMatrix built outside exactlinalg._assemble: {found}"

@@ -11,7 +11,6 @@ from graphhomology.diagrams import package
 from graphhomology.graphs import differential, disjoint_union, enumerate_graphs, graph
 from graphhomology.symplectic import (
     TensorWord,
-    UNIT_WORD,
     gen,
     graph_to_word,
     leibniz_differential,
@@ -20,12 +19,17 @@ from graphhomology.symplectic import (
     random_split_word,
     split_S,
     tstar,
-    word,
     word_from_strings,
     word_to_graphs,
     word_to_strings,
 )
 from oracles import all_pairings, compositions, matrix_sum_product, poly, symplectic_form
+
+
+def word(factors) -> TensorWord:
+    """The word whose factors are the monomials of the given generator lists."""
+    return TensorWord(tuple(monomial(f) for f in factors))
+
 
 W_EX = word_from_strings(["p1 p2 p3", "q1 q2 p4", "q3 q4"])
 G_EX = graph(3, [(1, 2), (1, 2), (1, 3), (2, 3)])
@@ -47,7 +51,7 @@ def _partial(f: LinComb, g) -> LinComb:
 
 def bracket_oracle(f: LinComb, g: LinComb) -> LinComb:
     """{f, g} = Σ_i ∂f/∂p_i·∂g/∂q_i − ∂g/∂p_i·∂f/∂q_i, by the ∂-formula."""
-    indices = {gn >> 1 for x in (f, g) for mono in x.keys() for gn in mono}
+    indices = {gn >> 1 for x in (f, g) for mono, _ in x.items() for gn in mono}
     out = LinComb.zero()
     for i in sorted(indices):
         p_i, q_i = gen("p", i), gen("q", i)
@@ -341,7 +345,7 @@ def test_word_to_graphs_matches_tstar_then_package():
 
 
 def test_word_to_graphs_edge_cases():
-    assert word_to_graphs(UNIT_WORD) == LinComb.of(graph(0, []))
+    assert word_to_graphs(TensorWord(())) == LinComb.of(graph(0, []))
     assert word_to_graphs(word_from_strings(["p1 p2", "q1 p3"])).is_zero()
     assert word_to_graphs(word_from_strings(["p1 q1", "p2 q2"])).is_zero()
     triple = graph(2, [(1, 2)] * 3)
@@ -358,7 +362,7 @@ def test_word_to_graphs_edge_cases():
 
 
 def test_tensor_word_is_an_immutable_value():
-    for w in (W_EX, UNIT_WORD):
+    for w in (W_EX, TensorWord(())):
         for back in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w), copy.copy(w)):
             assert type(back) is TensorWord and back == w and hash(back) == hash(w)
             assert repr(back) == repr(w)
@@ -368,7 +372,7 @@ def test_tensor_word_is_an_immutable_value():
     with pytest.raises(AttributeError):
         del W_EX.factors
     rng = random.Random(23)
-    words = [UNIT_WORD, W_EX] + [random_split_word(rng, max_factors=3) for _ in range(30)]
+    words = [TensorWord(()), W_EX] + [random_split_word(rng, max_factors=3) for _ in range(30)]
     # distinct objects with fresh factor tuples, compared by value
     copies = [TensorWord(tuple(tuple(f) for f in w.factors)) for w in words]
     for a in words:
@@ -443,9 +447,9 @@ def test_matrix_sum_product_worked():
 
 def test_matrix_sum_product_unit():
     b = word_from_strings(["p1 q1"])
-    assert matrix_sum_product(UNIT_WORD, b) == word_from_strings(["p1 q1"])
+    assert matrix_sum_product(TensorWord(()), b) == word_from_strings(["p1 q1"])
     a = word_from_strings(["p2 q2"])
-    assert matrix_sum_product(a, UNIT_WORD) == word_from_strings(["p4 q4"])
+    assert matrix_sum_product(a, TensorWord(())) == word_from_strings(["p4 q4"])
 
 
 def test_matrix_sum_product_is_multiplicative():
