@@ -106,7 +106,7 @@ class Graph:
     def __eq__(self, other):
         if other.__class__ is not Graph:
             return NotImplemented
-        return self._hash == other._hash and self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.edges == other.edges
 
     def __lt__(self, other):
         if other.__class__ is not Graph:
@@ -251,8 +251,6 @@ def connected_components(g: Graph) -> list[Graph]:
     groups: dict[int, list[int]] = {}
     for v in range(1, g.n + 1):
         groups.setdefault(find(v), []).append(v)
-    if len(groups) == 1:
-        return [g]
     comps = []
     for root in sorted(groups):
         verts = sorted(groups[root])
@@ -286,9 +284,10 @@ def sigma_act(perm, g: Graph) -> LinComb:
 
     Relabelling moves directed edges; expressing the result in canonical
     (low, high) orientation flips every edge whose endpoints get swapped,
-    at -1 apiece.  The total sign is sgn(σ) times (-1)^(#reversed edges);
-    only with this re-orientation factor does the contraction differential
-    commute with the action.
+    at -1 apiece.  The total sign is sgn(σ) times (-1)^(#reversed edges).
+    δ lowers the vertex count, so it does not commute with the action; with
+    this re-orientation factor it descends to the signed-relabelling
+    quotient, lie_class ∘ δ = lie_differential ∘ lie_class (criterion 12).
     """
     perm = tuple(perm)
     if len(perm) != g.n or sorted(perm) != list(range(1, g.n + 1)):
@@ -330,18 +329,17 @@ def _twin_classes(n: int, m: list[list[int]]) -> list[int] | None:
     Twins u, v have m(u, w) = m(v, w) for every other vertex w; the
     transposition (u v) is then an automorphism whose sigma_act sign is
     -(-1)^m(u, v).  Since m(u, u) = m(v, v) = 0, that is: v's row equals
-    u's row with its entries at u and v swapped, one list comparison made
-    only when the degrees agree.  Twinship is transitive, so comparing with
-    the least member of each class finds every class.
+    u's row with its entries at u and v swapped, one list comparison.
+    Twinship is transitive, so comparing with the least member of each class
+    finds every class.
     """
-    degree = [sum(row) for row in m]
     twin = list(range(n + 1))
     for u in range(1, n + 1):
         if twin[u] != u:
             continue
         mu = m[u]
         for v in range(u + 1, n + 1):
-            if twin[v] != v or degree[v] != degree[u]:
+            if twin[v] != v:
                 continue
             swapped = mu.copy()
             swapped[u], swapped[v] = mu[v], 0
@@ -365,11 +363,10 @@ def lie_class(g: Graph) -> LinComb:
     unlabelled vertices, whose cells take the next labels in order.  Labelling
     v from the first cell splits every cell by multiplicity to v, largest
     first, which fixes v's row; only the partial labellings whose row equals
-    the level's best survive.  A singleton cell, or a cell whose vertices all
-    have one multiplicity to v, passes through whole.  All survivors share
-    the prefix of the vector, so the search is exact and its leaves are
-    every minimising relabelling: they give one representative, and each
-    leaf the sign sgn(σ) times (-1)^(#reversed edges), from `_signed_pairs`.
+    the level's best survive.  All survivors share the prefix of the vector,
+    so the search is exact and its leaves are every minimising relabelling:
+    they give one representative, and each leaf the sign sgn(σ) times
+    (-1)^(#reversed edges), from `_signed_pairs`.
     Twins (see _twin_classes) with even multiplicity between them annihilate
     the graph at once; with odd multiplicity they give a +1 automorphism that
     fixes the partial labelling, so the search branches on one vertex of
@@ -404,17 +401,6 @@ def lie_class(g: Graph) -> LinComb:
                     if cell is first:
                         # the first cell is refined without v
                         cell = head
-                        if not cell:
-                            continue
-                    if len(cell) == 1:
-                        row.append(mv[cell[0]])
-                        split.append(cell)
-                        continue
-                    mults = [mv[w] for w in cell]
-                    if mults.count(mults[0]) == len(mults):
-                        row.extend(mults)
-                        split.append(cell)
-                        continue
                     # a stable sort keeps each group in cell order
                     last = None
                     for w in sorted(cell, key=mv.__getitem__, reverse=True):
@@ -473,7 +459,8 @@ def enumerate_graphs(n: int, max_edges: int, min_valence: int = 0,
     of vertex pairs (see _walk_graphs), which emits them in Graph order.
     Edge counts too small for the constraints are never emitted: n vertices
     of valence min_valence need ceil(n * min_valence / 2) edges, a connected
-    graph n - 1.  A negative n raises ValueError, and so does a listing of
+    graph n - 1, and when that least count exceeds max_edges the walk is not
+    started.  A negative n raises ValueError, and so does a listing of
     more than ENUMERATE_MAX_GRAPHS graphs, as soon as the walk passes that count.
     """
     if n < 0:
@@ -481,6 +468,8 @@ def enumerate_graphs(n: int, max_edges: int, min_valence: int = 0,
     if n == 0:
         return [UNIT] if not connected_only else []
     least = max(0, -(-n * min_valence // 2), n - 1 if connected_only else 0)
+    if least > max_edges:
+        return []
     walk = _walk_graphs(n, least, max_edges, min_valence, connected_only)
     out = list(itertools.islice(walk, ENUMERATE_MAX_GRAPHS + 1))
     if len(out) > ENUMERATE_MAX_GRAPHS:
@@ -530,7 +519,7 @@ def _walk_graphs(n: int, min_edges: int, max_edges: int, min_valence: int,
             val[j] += 1
             chosen.append(pair)
             if left == 0 and size >= min_edges and (
-                    not connected_only or _is_connected(n, chosen)):
+                    not connected_only or _component_count(n, chosen) == 1):
                 yield Graph(n, tuple(chosen))
             if size < max_edges:
                 yield from extend(k, size, low, left)
@@ -542,8 +531,8 @@ def _walk_graphs(n: int, min_edges: int, max_edges: int, min_valence: int,
         yield from extend(0, 0, 1, n * floor)
 
 
-def _is_connected(n: int, edges) -> bool:
-    """Whether the edges join vertices 1..n into one component (never for n = 0)."""
+def _component_count(n: int, edges) -> int:
+    """The number of components into which the edges join vertices 1..n."""
     parent = list(range(n + 1))
     joins = 0
     for i, j in edges:
@@ -554,4 +543,4 @@ def _is_connected(n: int, edges) -> bool:
         if i != j:
             parent[max(i, j)] = min(i, j)
             joins += 1
-    return joins == n - 1
+    return n - joins

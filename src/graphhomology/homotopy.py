@@ -24,7 +24,7 @@ import itertools
 from .exactlinalg import ChainComplexSlice, SparseMatrix, _assemble
 from .graphs import (
     Graph,
-    _is_connected,
+    _component_count,
     _walk_graphs,
     differential_graph,
     valences,
@@ -48,7 +48,7 @@ class Classification(enum.Enum):
 def classify(g: Graph) -> Classification:
     """Polygon: connected, all bivalent.  Core: connected, min valence >= 3.
     Mixed: any other connected graph.  The unit counts as disconnected."""
-    if not _is_connected(g.n, g.edges):
+    if _component_count(g.n, g.edges) != 1:
         return Classification.DISCONNECTED
     vals = valences(g)
     if all(v == 2 for v in vals):

@@ -162,7 +162,7 @@ class TensorWord:
     def __eq__(self, other):
         if other.__class__ is not TensorWord:
             return NotImplemented
-        return self._hash == other._hash and self.factors == other.factors
+        return self.factors == other.factors
 
     def __lt__(self, other):
         if other.__class__ is not TensorWord:
@@ -195,17 +195,13 @@ def leibniz_differential(x: LinComb) -> LinComb:
     Each bracket {g_i, g_j} of two monomials is taken in closed form (see
     `poisson_bracket`), and the terms of a word are summed by one
     `LinComb.sum`.  A bracket vanishes unless g_j holds the conjugate of a
-    generator of g_i, so each factor's conjugates are collected once and the
-    other pairs are skipped.
+    generator of g_i; `_bracket_monomials` then yields no term.
     """
     def terms(w: TensorWord) -> Iterator[tuple[TensorWord, int]]:
         fs = w.factors
-        conjugates = [{g ^ 1 for g in f} for f in fs]
         for j in range(2, len(fs) + 1):
             sign = (-1) ** j
             for i in range(1, j):
-                if conjugates[i - 1].isdisjoint(fs[j - 1]):
-                    continue
                 for mono, c in _bracket_monomials(fs[i - 1], fs[j - 1]):
                     yield TensorWord(fs[:i - 1] + (mono,) + fs[i:j - 1] + fs[j:]), sign * c
     return x.mapped(lambda w: LinComb.sum(terms(w)))

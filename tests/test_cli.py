@@ -241,6 +241,9 @@ def test_malformed_input_is_a_usage_error(argv, payload, fragment, tmp_path, cap
      "a diagram record has no field 'pairs'"),
     (["product"], {"right": G_REC}, "a product record has no field 'left'"),
     (["product"], {"left": G_REC}, "a product record has no field 'right'"),
+    # 40 components would split over 2^39 subsets
+    (["coproduct"], {"n": 40, "edges": []},
+     "the coproduct splits a graph of 40 components; at most 16 components are supported"),
 ])
 def test_wrong_length_edge_or_pair_is_refused_by_name(argv, payload, message, tmp_path, capsys):
     path = write_json(tmp_path, "bad.json", payload)

@@ -444,6 +444,8 @@ def test_enumerate_worked_cases():
     assert enumerate_graphs(2, 3, min_valence=2) == [DOUBLE, TRIPLE]
     assert enumerate_graphs(1, 5) == [graph(1, [])]
     assert enumerate_graphs(1, 5, min_valence=1) == []
+    # no connected graph on 40 vertices has at most 20 edges, so no walk runs
+    assert enumerate_graphs(40, 20, connected_only=True) == []
 
 
 def test_enumerate_against_brute_force():
