@@ -121,7 +121,7 @@ def check_zinbiel_coalgebra(g: Graph) -> LinComb:
 def check_compatibility(a: Graph, b: Graph) -> LinComb:
     """The defect Δ_≺(a·b) - (μ⊗μ)(Id⊗τ⊗Id)(Δ_≺(a)⊗Δ(b)), zero where the law holds."""
     if a == UNIT:
-        return LinComb.zero()
+        return LinComb()
     prod = disjoint_union(a, b)
     lhs = cohalf_shuffle(prod)
     fb = full_coproduct(b)
@@ -154,9 +154,9 @@ def primitive_projector(x: LinComb) -> LinComb:
 
     def per_graph(g: Graph) -> LinComb:
         if g == UNIT:
-            return LinComb.zero()
+            return LinComb()
         return LinComb.sum((h, (-1) ** (k - 1) * c)
-                           for k in range(1, len(connected_components(g)) + 1)
+                           for k in range(1, _component_count(g.n, g.edges) + 1)
                            for h, c in _convolution_power(k, g, memo).items())
 
     return x.mapped(per_graph)
@@ -208,7 +208,7 @@ def series_g(degree_bound: int) -> LinComb:
 
 def identity_series(degree_bound: int) -> LinComb:
     """The single leaf, or zero when the bound truncates it away."""
-    return LinComb.of(LEAF) if degree_bound >= 1 else LinComb.zero()
+    return LinComb.of(LEAF) if degree_bound >= 1 else LinComb()
 
 
 def _graft(tree, inner: dict[int, dict], bound: int) -> dict[int, LinComb]:
@@ -259,7 +259,7 @@ def word_cohalf_pq(w: TensorWord, p: int, q: int) -> LinComb:
     fs = w.factors
     n = len(fs)
     if p + q != n or p < 1:
-        return LinComb.zero()
+        return LinComb()
 
     def term(left_pos, right_pos):
         inversions = sum(1 for x in left_pos for y in right_pos if y < x)

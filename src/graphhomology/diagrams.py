@@ -66,7 +66,7 @@ def pair_monomial(pairs) -> LinComb:
     """
     signed = _signed_pairs(pairs)
     if signed is None:
-        return LinComb.zero()
+        return LinComb()
     sign, norm = signed
     slots = sorted(s for p in norm for s in p)
     if slots != list(range(1, 2 * len(norm) + 1)):
@@ -101,7 +101,7 @@ def package(d: ChordDiagram, shape) -> LinComb:
         owner.extend([k] * size)
     signed = _signed_pairs((owner[a], owner[b]) for a, b in d)
     if signed is None:
-        return LinComb.zero()
+        return LinComb()
     return LinComb.of(Graph(len(shape), signed[1]))
 
 

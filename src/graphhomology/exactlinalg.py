@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping
@@ -102,10 +102,6 @@ class LinComb:
         return cls._adopt(out)
 
     @classmethod
-    def zero(cls) -> "LinComb":
-        return cls()
-
-    @classmethod
     def of(cls, key: Hashable, coeff=1) -> "LinComb":
         coeff = rational(coeff)
         return cls._adopt({key: coeff} if coeff else {})
@@ -144,7 +140,7 @@ class LinComb:
     def scale(self, s) -> "LinComb":
         s = rational(s)
         if not s:
-            return LinComb.zero()
+            return LinComb()
         return LinComb._adopt({k: v * s for k, v in self._terms.items()})
 
     def mapped(self, f: Callable[[Hashable], "LinComb"]) -> "LinComb":
@@ -387,58 +383,50 @@ def rank(m: SparseMatrix) -> int:
 
 @dataclass(frozen=True)
 class ChainComplexSlice:
-    """An explicit truncated chain complex.
+    """An explicit truncated chain complex: its bases and its differentials.
 
-    ``basis[k]`` lists canonical basis elements of degree k for every k in
-    ``degrees`` (an inclusive (lo, hi) pair); ``d[k]`` sends degree-k
-    coordinates to degree-(k-1) coordinates for lo < k <= hi, and an absent
-    ``d[k]`` is the zero map; ``complete[k]`` records that the degree-k basis
-    is provably complete within the stated truncation bounds.
+    ``basis[k]`` lists every canonical basis element of degree k within the
+    stated truncation bounds, for an unbroken run of degrees lo..hi.
+    ``d[k]`` sends degree-k coordinates to degree-(k-1) coordinates for
+    every lo < k <= hi, the zero map as a matrix with no entries.  Anything
+    else raises ValueError, and d∘d != 0 raises NotAComplexError.
     """
 
-    degrees: tuple[int, int]
     basis: Mapping[int, tuple]
     d: Mapping[int, SparseMatrix]
-    complete: Mapping[int, bool] = field(default_factory=dict)
+
+    @property
+    def degrees(self) -> tuple[int, int]:
+        """The inclusive (lo, hi) range of the basis degrees."""
+        return min(self.basis), max(self.basis)
 
     def __post_init__(self):
         lo, hi = self.degrees
-        for k in range(lo, hi + 1):
-            if k not in self.basis:
-                raise ValueError(f"missing basis for degree {k}")
+        if len(self.basis) != hi - lo + 1:
+            raise ValueError(f"basis degrees {sorted(self.basis)} leave a gap")
+        if set(self.d) != set(range(lo + 1, hi + 1)):
+            raise ValueError(f"differentials at degrees {sorted(self.d)}; a slice "
+                             f"over degrees {lo}..{hi} needs one at each of {lo + 1}..{hi}")
         for k, mat in self.d.items():
-            if not (lo < k <= hi):
-                raise ValueError(f"differential at degree {k} out of range")
             if mat.cols != len(self.basis[k]) or mat.rows != len(self.basis[k - 1]):
                 raise ValueError(f"differential shape mismatch at degree {k}")
         for k in range(lo + 2, hi + 1):
-            if k in self.d and (k - 1) in self.d:
-                if not self.d[k - 1].compose(self.d[k]).is_zero():
-                    raise NotAComplexError(f"d∘d nonzero at degree {k}")
+            if not self.d[k - 1].compose(self.d[k]).is_zero():
+                raise NotAComplexError(f"d∘d nonzero at degree {k}")
 
 
 def homology_dims(c: ChainComplexSlice) -> dict[int, tuple[int, bool]]:
     """Per-degree homology dimension and a reliability flag.
 
-    dim H_k = dim ker d_k - rank d_{k+1}; reliable only when degrees k-1, k,
-    k+1 all exist in the slice and carry complete bases.  d∘d = 0 is enforced
+    dim H_k = dim C_k - rank d_k - rank d_{k+1}, with d_lo and d_{hi+1} zero.
+    Every basis of a slice is complete, so H_k is reliable exactly when both
+    neighbouring degrees are in the slice, lo < k < hi.  d∘d = 0 is enforced
     at slice construction; a violation raises rather than warns.
     """
     lo, hi = c.degrees
-    ranks: dict[int, int] = {}
-    for k, mat in c.d.items():
-        ranks[k] = rank(mat)
-    out: dict[int, tuple[int, bool]] = {}
-    for k in range(lo, hi + 1):
-        n_k = len(c.basis[k])
-        rank_in = ranks.get(k, 0)
-        rank_out = ranks.get(k + 1, 0)
-        dim_h = (n_k - rank_in) - rank_out
-        reliable = all(
-            lo <= j <= hi and c.complete.get(j, False)
-            for j in (k - 1, k, k + 1))
-        out[k] = (dim_h, reliable)
-    return out
+    ranks = {k: rank(mat) for k, mat in c.d.items()}
+    return {k: (len(c.basis[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0), lo < k < hi)
+            for k in range(lo, hi + 1)}
 
 
 def _pivot_inverse(m: SparseMatrix, skip_rows: set[int]) -> tuple[
@@ -500,9 +488,9 @@ class ChainContraction:
         entries: dict[tuple[int, int], Rational] = {
             (i, i): 1 for i in range(dim)}
         terms = []
-        if k in self.h and (k + 1) in self.chain.d:
+        if k in self.h:
             terms.append(self.chain.d[k + 1].compose(self.h[k]))
-        if (k - 1) in self.h and k in self.chain.d:
+        if (k - 1) in self.h:
             terms.append(self.h[k - 1].compose(self.chain.d[k]))
         for term in terms:
             for key, val in term.entries:
@@ -528,9 +516,7 @@ def chain_contraction(c: ChainComplexSlice) -> ChainContraction:
     ranks: dict[int, int] = {}
     lower_pivots: set[int] = set()
     for k in range(lo, hi):
-        d = c.d.get(k + 1)
-        if d is None:
-            d = SparseMatrix.from_entries(len(c.basis[k]), len(c.basis[k + 1]), {})
+        d = c.d[k + 1]
         entries, lower_pivots = _pivot_inverse(d, lower_pivots)
         h[k] = SparseMatrix.from_entries(d.cols, d.rows, entries)
         ranks[k + 1] = len(lower_pivots)

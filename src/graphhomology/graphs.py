@@ -380,7 +380,7 @@ def lie_class(g: Graph) -> LinComb:
     m = _multiplicities(g)
     twin = _twin_classes(g.n, m)
     if twin is None:
-        return LinComb.zero()
+        return LinComb()
     # each partial labelling: (labelled vertices in label order, cells of the rest)
     level = [((), [list(range(1, g.n + 1))] if g.n else [])]
     while level[0][1]:
@@ -423,7 +423,7 @@ def lie_class(g: Graph) -> LinComb:
         flips, edges = _signed_pairs((label[a], label[b]) for a, b in g.edges)
         signs.add(perm_sign(label[1:]) * flips)
     if len(signs) == 2:
-        return LinComb.zero()
+        return LinComb()
     # every leaf relabels g to the orbit minimum, so the last one gives it
     return LinComb.of(GraphClass(Graph(g.n, edges)), signs.pop())
 
@@ -450,6 +450,10 @@ def valences(g: Graph) -> list[int]:
 # with at most 12 edges would give C(40, 12), about 5.6e9
 ENUMERATE_MAX_GRAPHS = 300_000
 
+# _walk_graphs nests one generator per edge and resumes each through all the
+# ones below it, so more edges would near Python's default 1,000-frame limit
+_WALK_MAX_EDGES = 500
+
 
 def enumerate_graphs(n: int, max_edges: int, min_valence: int = 0,
                      connected_only: bool = False) -> list[Graph]:
@@ -461,7 +465,8 @@ def enumerate_graphs(n: int, max_edges: int, min_valence: int = 0,
     of valence min_valence need ceil(n * min_valence / 2) edges, a connected
     graph n - 1, and when that least count exceeds max_edges the walk is not
     started.  A negative n raises ValueError, and so does a listing of
-    more than ENUMERATE_MAX_GRAPHS graphs, as soon as the walk passes that count.
+    more than ENUMERATE_MAX_GRAPHS graphs, as soon as the walk passes that count
+    or, when its edgeless and single-edge graphs alone pass it, before the walk.
     """
     if n < 0:
         raise ValueError(f"a graph needs n >= 0 vertices, not {n}")
@@ -470,11 +475,14 @@ def enumerate_graphs(n: int, max_edges: int, min_valence: int = 0,
     least = max(0, -(-n * min_valence // 2), n - 1 if connected_only else 0)
     if least > max_edges:
         return []
+    refusal = (f"enumerate_graphs lists more than {ENUMERATE_MAX_GRAPHS} graphs "
+               f"on {n} vertices with at most {max_edges} edges")
+    if least == 0 < max_edges and 1 + n * (n - 1) // 2 > ENUMERATE_MAX_GRAPHS:
+        raise ValueError(refusal)
     walk = _walk_graphs(n, least, max_edges, min_valence, connected_only)
     out = list(itertools.islice(walk, ENUMERATE_MAX_GRAPHS + 1))
     if len(out) > ENUMERATE_MAX_GRAPHS:
-        raise ValueError(f"enumerate_graphs lists more than {ENUMERATE_MAX_GRAPHS} graphs "
-                         f"on {n} vertices with at most {max_edges} edges")
+        raise ValueError(refusal)
     return out
 
 
@@ -491,11 +499,14 @@ def _walk_graphs(n: int, min_edges: int, max_edges: int, min_valence: int,
       below min_valence, since every later pair misses that vertex;
     - once the total valence deficit exceeds twice the edges still allowed,
       since one edge raises two valences.
-    Edge tuples hold the pair objects of one shared pair list.
+    Edge tuples hold the pair objects of one shared pair list, laid out
+    only when there are edges to walk.  More than _WALK_MAX_EDGES edges on
+    n >= 2 vertices raise ValueError.
     """
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if n > 1 and max_edges > _WALK_MAX_EDGES:
+        raise ValueError(f"the graph walk takes at most {_WALK_MAX_EDGES} edges, not {max_edges}")
     # past[v]: index of the first pair starting after vertex v
-    past = [sum(n - i for i in range(1, v + 1)) for v in range(n + 1)]
+    past = [v * n - v * (v + 1) // 2 for v in range(n + 1)]
     floor = max(min_valence, 0)
     val = [0] * (n + 1)
     chosen: list[tuple[int, int]] = []
@@ -528,6 +539,7 @@ def _walk_graphs(n: int, min_edges: int, max_edges: int, min_valence: int,
             val[j] -= 1
 
     if max_edges > 0:
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         yield from extend(0, 0, 1, n * floor)
 
 

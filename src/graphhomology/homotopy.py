@@ -64,8 +64,9 @@ def slice_from_bases(bases: dict[int, list[Graph]], diff=differential_graph,
 
     Differential coordinates come from `diff` on each basis element; terms
     outside the target basis are an error unless ``project`` is set (then the
-    slice computes the quotient/projected differential).  Every degree is
-    marked complete: each basis must hold every graph of its degree.
+    slice computes the quotient/projected differential).  The degrees must
+    form an unbroken run, and each basis must hold every graph of its
+    degree, as every `ChainComplexSlice` basis does.
 
     Each matrix is built once, by `exactlinalg._assemble` from three flat
     lists of rows, columns and values, filled column by column: a column's
@@ -91,8 +92,7 @@ def slice_from_bases(bases: dict[int, list[Graph]], diff=differential_graph,
                 col_ids.append(col)
                 vals.append(coeff)
         d[k] = _assemble(len(bases[k - 1]), len(bases[k]), row_ids, col_ids, vals)
-    return ChainComplexSlice((lo, hi), {k: tuple(v) for k, v in bases.items()},
-                             d, {k: True for k in bases})
+    return ChainComplexSlice({k: tuple(v) for k, v in bases.items()}, d)
 
 
 # stripe refuses a degree with more graphs: the mixed stripe at loop 3 has

@@ -56,7 +56,7 @@ def contract(g, edge) -> LinComb:
 
     moved = [(relabel(a), relabel(b)) for a, b in rest]
     if any(a == b for a, b in moved):
-        return LinComb.zero()
+        return LinComb()
     return LinComb.of(graph(g.n - 1, moved))
 
 
@@ -115,7 +115,7 @@ def chord_differential(shape, pairs):
     """
     owner = package_owner(shape)
     blocks = package_blocks(shape)
-    out = LinComb.zero()
+    out = LinComb()
     for a, b in pairs:
         pa, pb = owner[a], owner[b]
         merged = [s for s in blocks[pa - 1] if s != a] + [s for s in blocks[pb - 1] if s != b]
@@ -149,8 +149,8 @@ def unsigned_cohalf_pq(w: TensorWord, p: int, q: int) -> LinComb:
     fs = w.factors
     n = len(fs)
     if p + q != n or p < 1:
-        return LinComb.zero()
-    out = LinComb.zero()
+        return LinComb()
+    out = LinComb()
     for left_idx in itertools.combinations(range(1, n), p - 1):
         right_idx = tuple(k for k in range(1, n) if k not in left_idx)
         out = out + LinComb.of((TensorWord(tuple(fs[k] for k in (0,) + left_idx)),
@@ -163,10 +163,10 @@ def check_interchange_unsigned(w: TensorWord, p: int, q: int) -> LinComb:
     (-1)^p: the negative control, which fails in general."""
     if len(w.factors) != p + q + 1:
         raise ValueError(f"word has {len(w.factors)} factors, need {p + q + 1}")
-    lhs = LinComb.zero()
+    lhs = LinComb()
     for term, c in leibniz_differential(LinComb.of(w)).items():
         lhs = lhs + unsigned_cohalf_pq(term, p, q).scale(c)
-    rhs = LinComb.zero()
+    rhs = LinComb()
     for (left, right), c in unsigned_cohalf_pq(w, p + 1, q).items():
         for lterm, lc in leibniz_differential(LinComb.of(left)).items():
             rhs = rhs + LinComb.of((lterm, right), c * lc)

@@ -58,7 +58,7 @@ def test_criterion_01_worked_graph_differential():
     targets_ok = (contract(G_EX, (1, 2)).is_zero()
                   and contract(G_EX, (1, 3)) == LinComb.of(TRIPLE)
                   and contract(G_EX, (2, 3)) == LinComb.of(TRIPLE))
-    signed_sum = LinComb.zero()
+    signed_sum = LinComb()
     for edge in G_EX.edges:
         signed_sum = signed_sum + contract(G_EX, edge).scale(signs[edge])
     actual = graphs.differential(LinComb.of(G_EX))
@@ -79,8 +79,8 @@ def test_criterion_02_worked_word_differential():
     four_terms_ok = dw == expected_words
     # ω(p, q) = 1 = -ω(q, p): the two surviving terms pair with opposite signs
     term_images = {
-        ("p2 p3 q2 p4", "q3 q4"): LinComb.zero(),
-        ("p1 p3 q1 p4", "q3 q4"): LinComb.zero(),
+        ("p2 p3 q2 p4", "q3 q4"): LinComb(),
+        ("p1 p3 q1 p4", "q3 q4"): LinComb(),
         ("p1 p2 p3", "q1 q2 q3"): LinComb.of(TRIPLE),
         ("p1 p2 q4", "q1 q2 p4"): LinComb.of(TRIPLE, -1),
     }
@@ -134,7 +134,7 @@ def test_criterion_04_worked_coproducts():
     actual_h = bialgebra.cohalf_shuffle(H)
     h_ok = actual_h == pinned_h
     # compatibility with H = H1·H1: Δ_≺(H1) = H1⊗1 and Δ(H1) = H1⊗1 + 1⊗H1
-    law_rhs = LinComb.zero()
+    law_rhs = LinComb()
     for (a1, a2), ca in bialgebra.cohalf_shuffle(H1).items():
         for (b1, b2), cb in bialgebra.full_coproduct(H1).items():
             law_rhs = law_rhs + LinComb.of(
@@ -291,7 +291,7 @@ def test_criterion_10_primitive_projector():
     rng = random.Random(0)
     idem_bad = 0
     for _ in range(100):
-        x = LinComb.zero()
+        x = LinComb()
         for _ in range(rng.randint(1, 3)):
             x = x + LinComb.of(rng.choice(prods), rng.randint(-2, 2))
         once = bialgebra.primitive_projector(x)

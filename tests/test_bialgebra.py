@@ -127,7 +127,7 @@ def test_projector_idempotent_random():
     pool = component_pool()
     prods = products_of(pool, 4)
     for _ in range(100):
-        x = LinComb.zero()
+        x = LinComb()
         for _ in range(rng.randint(1, 3)):
             x = x + LinComb.of(rng.choice(prods), rng.randint(-2, 2))
         once = primitive_projector(x)

@@ -343,6 +343,19 @@ def test_enumerate_refuses_negative_vertices(capsys):
     assert captured.err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("argv,edges", [
+    (["enumerate", "--vertices", "2", "--edges", "1000"], 1000),
+    (["homology", "--loop", "1000", "--max-n", "2"], 1002),
+])
+def test_walk_of_too_many_edges_is_a_usage_error(argv, edges, capsys):
+    # one generator per edge would exhaust the recursion limit
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"usage error: the graph walk takes at most 500 edges, not {edges}\n"
+
+
 def test_diff_lie_refuses_thirteen_vertices(tmp_path, capsys):
     path = write_json(tmp_path, "g.json",
                       {"n": 13, "edges": [[k, k + 1] for k in range(1, 13)]})

@@ -257,10 +257,8 @@ def test_rank_of_mixed_stripe_differentials():
 
 def _two_term_acyclic():
     return ChainComplexSlice(
-        degrees=(0, 1),
         basis={0: ("a",), 1: ("b",)},
         d={1: from_dense([[1]])},
-        complete={0: True, 1: True},
     )
 
 
@@ -272,34 +270,60 @@ def test_homology_two_term_acyclic():
 
 
 def test_homology_zero_differential():
-    # each zero map two ways: from no entries, and left out, which
-    # chain_contraction fills with the matrix of no entries
-    for d in ({1: SparseMatrix.from_entries(2, 1, {}),
-               2: SparseMatrix.from_entries(1, 3, {})},
-              {}):
-        assert all(m == SparseMatrix.from_entries(m.rows, m.cols, {})
-                   and len(m.entries) == 0 and not list(m.entries)
-                   and m.is_zero() and rank(m) == 0 for m in d.values())
-        cx = ChainComplexSlice(
-            degrees=(0, 2),
-            basis={0: ("a", "b"), 1: ("c",), 2: ("d", "e", "f")},
-            d=d,
-            complete={0: True, 1: True, 2: True},
+    # a zero map is a matrix with no entries; leaving it out is refused
+    basis = {0: ("a", "b"), 1: ("c",), 2: ("d", "e", "f")}
+    d = {1: SparseMatrix.from_entries(2, 1, {}),
+         2: SparseMatrix.from_entries(1, 3, {})}
+    assert all(m == SparseMatrix.from_entries(m.rows, m.cols, {})
+               and len(m.entries) == 0 and not list(m.entries)
+               and m.is_zero() and rank(m) == 0 for m in d.values())
+    cx = ChainComplexSlice(basis=basis, d=d)
+    dims = homology_dims(cx)
+    assert [dims[k][0] for k in (0, 1, 2)] == [2, 1, 3]
+    assert dims[1][1] is True
+    con = chain_contraction(cx)
+    assert (con.h[0] == SparseMatrix.from_entries(1, 2, {})
+            and con.h[1] == SparseMatrix.from_entries(3, 1, {}))
+    assert [con.homology_dim(k) for k in (0, 1, 2)] == [2, 1, 3]
+    assert con.projection(2) == from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="needs one at each of 1..2"):
+        ChainComplexSlice(basis=basis, d={})
+
+
+def test_slice_refuses_a_gap_in_its_degrees():
+    with pytest.raises(ValueError, match="leave a gap"):
+        ChainComplexSlice(
+            basis={0: ("a",), 2: ("c",)},
+            d={2: SparseMatrix.from_entries(0, 1, {})},
         )
-        dims = homology_dims(cx)
-        assert [dims[k][0] for k in (0, 1, 2)] == [2, 1, 3]
-        assert dims[1][1] is True
-        con = chain_contraction(cx)
-        assert (con.h[0] == SparseMatrix.from_entries(1, 2, {})
-                and con.h[1] == SparseMatrix.from_entries(3, 1, {}))
-        assert [con.homology_dim(k) for k in (0, 1, 2)] == [2, 1, 3]
-        assert con.projection(2) == from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("keep", [(1,), (2,), (1, 2, 3), (0, 1, 2)])
+def test_slice_refuses_a_missing_or_extra_differential(keep):
+    zero = {k: SparseMatrix.from_entries(1, 1, {}) for k in range(4)}
+    with pytest.raises(ValueError, match="needs one at each of 1..2"):
+        ChainComplexSlice(
+            basis={0: ("a",), 1: ("b",), 2: ("c",)},
+            d={k: zero[k] for k in keep},
+        )
+
+
+def test_reliable_degrees_are_exactly_the_interior_ones():
+    # dims 1, 2, 2, 1 with every differential zero: H_k = C_k everywhere,
+    # and only a degree with both neighbours in the slice is reliable
+    dims = (1, 2, 2, 1)
+    cx = ChainComplexSlice(
+        basis={k + 3: tuple(range(n)) for k, n in enumerate(dims)},
+        d={k: SparseMatrix.from_entries(dims[k - 4], dims[k - 3], {})
+           for k in range(4, 7)},
+    )
+    assert cx.degrees == (3, 6)
+    assert homology_dims(cx) == {3: (1, False), 4: (2, True), 5: (2, True), 6: (1, False)}
 
 
 def test_not_a_complex_rejected():
     with pytest.raises(NotAComplexError):
         ChainComplexSlice(
-            degrees=(0, 2),
             basis={0: ("a",), 1: ("b",), 2: ("c",)},
             d={1: from_dense([[1]]),
                2: from_dense([[1]])},
@@ -313,11 +337,9 @@ def test_degree_out_of_range():
 
 def test_homology_invariant_under_basis_order():
     mat = from_dense([[1, 1, 0], [0, 1, 1]])
-    cx1 = ChainComplexSlice((0, 1), {0: ("a", "b"), 1: ("x", "y", "z")},
-                            {1: mat}, {0: True, 1: True})
+    cx1 = ChainComplexSlice({0: ("a", "b"), 1: ("x", "y", "z")}, {1: mat})
     permuted = from_dense([[0, 1, 1], [1, 1, 0]])
-    cx2 = ChainComplexSlice((0, 1), {0: ("b", "a"), 1: ("z", "y", "x")},
-                            {1: permuted}, {0: True, 1: True})
+    cx2 = ChainComplexSlice({0: ("b", "a"), 1: ("z", "y", "x")}, {1: permuted})
     assert {k: v[0] for k, v in homology_dims(cx1).items()} == \
            {k: v[0] for k, v in homology_dims(cx2).items()}
 
@@ -385,9 +407,7 @@ def _random_complex(rng, boundaries, homology, scaled=False):
             d[k] = SparseMatrix.from_entries(
                 d[k].rows, d[k].cols,
                 {rc: val * Fraction(1, k + 1) for rc, val in d[k].entries})
-    return ChainComplexSlice(
-        (0, top), {k: tuple(range(dims[k])) for k in range(top + 1)}, d,
-        {k: True for k in range(top + 1)})
+    return ChainComplexSlice({k: tuple(range(dims[k])) for k in range(top + 1)}, d)
 
 
 @pytest.mark.parametrize("boundaries,homology", [

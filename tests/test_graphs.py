@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,24 @@ def test_enumerate_graphs_refuses_negative_vertices():
     for min_valence in (0, 2):
         with pytest.raises(ValueError, match="n >= 0"):
             enumerate_graphs(-1, 3, min_valence)
+
+
+def test_enumerate_graphs_refuses_a_long_listing_before_the_walk():
+    # the edgeless listing lays out no vertex pairs, and a listing from 0
+    # edges with more single-edge graphs than the cap is refused up front
+    start = time.perf_counter()
+    assert enumerate_graphs(4000, 0) == [Graph(4000, ())]
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="more than 300000 graphs on 800 vertices"):
+        enumerate_graphs(800, 1)
+
+
+def test_walk_refuses_more_edges_than_it_can_nest():
+    # the walk at its bound stays within the default recursion limit
+    bound = graphs._WALK_MAX_EDGES
+    assert len(enumerate_graphs(2, bound)) == bound + 1
+    with pytest.raises(ValueError, match=f"at most {bound} edges, not {bound + 1}"):
+        enumerate_graphs(2, bound + 1)
 
 
 def test_enumerate_graphs_matches_filtered_reference():
@@ -195,7 +214,7 @@ def test_differential_sign_matches_reorientation_oracle():
     mixed = stripe("mixed", 2, 5).basis[5]
     assert len(mixed) == 1900
     for g in [*gs, *mixed]:
-        expected = LinComb.zero()
+        expected = LinComb()
         for i, j in g.edges:
             flips = sum(1 for a, b in g.edges if b == j and i < a < j)
             expected = expected + contract(g, (i, j)).scale((-1) ** (j + flips))
@@ -325,7 +344,7 @@ def _lie_orbit_min(g):
         elif cand.edges == best.edges:
             best_signs.add(sign)
     if len(best_signs) == 2:
-        return LinComb.zero()
+        return LinComb()
     return LinComb.of(graphs.GraphClass(best), best_signs.pop())
 
 

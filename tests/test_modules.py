@@ -1,6 +1,7 @@
 """Every graphhomology module exports only names it defines, `exactlinalg`
 defines the one exception class, only `exactlinalg` reaches into a `LinComb`,
-and only `exactlinalg._assemble` builds a `SparseMatrix`."""
+only `exactlinalg._assemble` builds a `SparseMatrix`, and only
+`homotopy.slice_from_bases` builds a `ChainComplexSlice`."""
 
 import ast
 import importlib
@@ -72,25 +73,39 @@ def test_only_exactlinalg_touches_lincomb_internals(path):
     assert not found, f"{path.name} reads LinComb internals on lines {found}"
 
 
-def _sparse_matrix_calls(tree: ast.AST) -> set[int]:
-    """The lines on which ``tree`` calls SparseMatrix(...)."""
+def _calls(tree: ast.AST, name: str) -> set[int]:
+    """The lines on which ``tree`` calls ``name``(...), bare or as an attribute."""
     return {node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and "SparseMatrix" in (getattr(node.func, "id", None),
-                                   getattr(node.func, "attr", None))}
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+
+def _calls_outside(name: str, module: str, builder: str) -> list[str]:
+    """The places in `src/` that call ``name``(...) outside the function
+    ``builder`` of ``module``, which must call it exactly once."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = _calls(tree, name)
+        if path.stem == module:
+            [function] = [node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == builder]
+            inside = _calls(function, name)
+            assert len(inside) == 1
+            calls -= inside
+        found += [f"{path.name}:{line}" for line in sorted(calls)]
+    return found
 
 
 def test_every_sparse_matrix_is_laid_out_by_assemble():
     # every matrix, the zero one too, gets its compressed rows from one
     # constructor, so no second layout can disagree with it
-    found = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        calls = _sparse_matrix_calls(tree)
-        if path.stem == "exactlinalg":
-            [assemble] = [node for node in tree.body
-                          if isinstance(node, ast.FunctionDef) and node.name == "_assemble"]
-            assert len(_sparse_matrix_calls(assemble)) == 1
-            calls -= _sparse_matrix_calls(assemble)
-        found += [f"{path.name}:{line}" for line in sorted(calls)]
+    found = _calls_outside("SparseMatrix", "exactlinalg", "_assemble")
     assert not found, f"SparseMatrix built outside exactlinalg._assemble: {found}"
+
+
+def test_every_chain_complex_slice_is_built_by_slice_from_bases():
+    # a slice promises complete bases, which only the builder that takes
+    # every graph of each degree can honour
+    found = _calls_outside("ChainComplexSlice", "homotopy", "slice_from_bases")
+    assert not found, f"ChainComplexSlice built outside homotopy.slice_from_bases: {found}"

@@ -43,7 +43,7 @@ def _partial(f: LinComb, g) -> LinComb:
     """∂f/∂g: each monomial loses one g and gains its multiplicity as a factor."""
     def lower(mono):
         if g not in mono:
-            return LinComb.zero()
+            return LinComb()
         k = mono.index(g)
         return LinComb.of(mono[:k] + mono[k + 1:], mono.count(g))
     return f.mapped(lower)
@@ -52,7 +52,7 @@ def _partial(f: LinComb, g) -> LinComb:
 def bracket_oracle(f: LinComb, g: LinComb) -> LinComb:
     """{f, g} = Σ_i ∂f/∂p_i·∂g/∂q_i − ∂g/∂p_i·∂f/∂q_i, by the ∂-formula."""
     indices = {gn >> 1 for x in (f, g) for mono, _ in x.items() for gn in mono}
-    out = LinComb.zero()
+    out = LinComb()
     for i in sorted(indices):
         p_i, q_i = gen("p", i), gen("q", i)
         out = (out + _product(_partial(f, p_i), _partial(g, q_i))
@@ -63,7 +63,7 @@ def bracket_oracle(f: LinComb, g: LinComb) -> LinComb:
 def leibniz_oracle(x: LinComb) -> LinComb:
     """Σ_{i<j} (−1)^j over factor pairs, one term at a time, by the oracle bracket."""
     def per_word(w: TensorWord) -> LinComb:
-        out = LinComb.zero()
+        out = LinComb()
         fs = w.factors
         for j in range(2, len(fs) + 1):
             for i in range(1, j):
@@ -76,7 +76,7 @@ def leibniz_oracle(x: LinComb) -> LinComb:
 
 
 def random_polynomial(rng, indices=(1, 2), degree=2, terms=2):
-    out = LinComb.zero()
+    out = LinComb()
     kinds = ("p", "q")
     for _ in range(terms):
         gens = [gen(rng.choice(kinds), rng.choice(indices)) for _ in range(degree)]
@@ -112,7 +112,7 @@ def test_poisson_bracket_jacobi():
 def random_power_polynomial(rng, terms=3):
     """Fraction coefficients on monomials in p1..p3, q1..q3, powers 0..3; a
     term is a constant one time in five."""
-    out = LinComb.zero()
+    out = LinComb()
     for _ in range(terms):
         gens = [] if rng.random() < 0.2 else [
             gen(kind, i) for kind in "pq" for i in (1, 2, 3)
@@ -162,7 +162,7 @@ def test_leibniz_differential_cancelling_and_collapsing_terms():
     # {p1 p1, q1} = 2 p1 at pairs (1, 2) and (1, 3), with opposite signs
     w = word_from_strings(["p1 p1", "q1", "q1"])
     assert leibniz_oracle(LinComb.of(w)).is_zero()
-    assert leibniz_differential(LinComb.of(w)) == LinComb.zero()
+    assert leibniz_differential(LinComb.of(w)) == LinComb()
     # pairs (1, 3) and (2, 3) give ±(p1 | q1); pair (1, 2) leaves ( | p1 q1)
     w = word_from_strings(["p1", "q1", "p1 q1"])
     got = leibniz_differential(LinComb.of(w))
@@ -276,7 +276,7 @@ def _tstar_oracle(w: TensorWord) -> LinComb:
                 rec(unpaired[1:k] + unpaired[k + 1:], pairs + [(a, b)], coeff * form)
 
     rec(tuple(range(1, len(letters) + 1)), [], 1)
-    return sum(terms, LinComb.zero())
+    return sum(terms, LinComb())
 
 
 def _words_with_powers(rng, count):
