@@ -327,8 +327,16 @@ def _eliminate(m: SparseMatrix, skip_rows: Container[int] = (),
 
     Pivot order is that of structured elimination (LaMacchia & Odlyzko
     1990): the sparsest remaining row (ties by original index), on its
-    smallest column.  A heap keyed by (length, original index) finds that
-    row; entries left stale by an update are skipped when popped.
+    column held by the fewest rows (ties by the smallest column), a
+    Markowitz choice (Markowitz, Management Science 1957).  A heap keyed by
+    (length, original index) finds that row; entries left stale by an
+    update are skipped when popped.  An index lists per column the ids of
+    the rows holding it: an id is appended when the column enters a row,
+    and the list is dropped when its column pivots.  Ids of rows that have
+    since pivoted, emptied or lost the column stay, and repeats of an id
+    may appear; both are skipped when the list is read, and both count in
+    its length, which is the count the choice reads.  The list of the pivot
+    column names the rows to update.
 
     With ``transforms``, row r carries an integer transform T, starting at
     {r: lcm}, that the same updates act on, and the content is taken over
@@ -346,21 +354,32 @@ def _eliminate(m: SparseMatrix, skip_rows: Container[int] = (),
             trans[r] = {r: den}
     heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
+    holders: list[list[int] | None] = [[] for _ in range(m.cols)]
+    for r, row in rows.items():
+        for c in row:
+            holders[c].append(r)
     while heap:
         length, r = heapq.heappop(heap)
         pivot = rows.get(r)
         if pivot is None or len(pivot) != length:
             continue
         del rows[r]
-        piv_col = min(pivot)
+        piv_col = min(pivot, key=lambda c: (len(holders[c]), c))
         pv = pivot[piv_col]
         piv_trans = trans.pop(r, None)
         yield piv_col, pivot, piv_trans
-        for r2 in [r2 for r2, row in rows.items() if piv_col in row]:
-            f = rows[r2][piv_col]
+        ids, holders[piv_col] = holders[piv_col], None
+        for r2 in ids:
+            row = rows.get(r2)
+            if row is None or piv_col not in row:
+                continue
+            f = row[piv_col]
             g = math.gcd(f, pv)
             a, b = pv // g, f // g
-            new = _combine(rows[r2], pivot, a, b)
+            for c in pivot:
+                if c not in row:
+                    holders[c].append(r2)
+            new = _combine(row, pivot, a, b)
             if not new:
                 del rows[r2]
                 trans.pop(r2, None)

@@ -11,7 +11,9 @@ The differential contracts one edge copy at a time.  Contracting {i, j}
 (i < j) merges j into i and shifts labels above j down by one; the term's sign
 is (-1)^j times a re-orientation sign (-1)^f where f counts the other edges
 (a, j) with i < a < j, whose written direction reverses under the merge.
-One pass over the edges builds the contracted graph and counts f.
+`differential_graph` walks the edges once: an edge with a second copy gives
+no term, since its contraction holds a loop, and for every other edge one
+pass over the edges builds the contracted graph and counts f.
 Without the re-orientation factor the square of the map is nonzero already on
 the three-vertex path with edges (1, 3), (2, 3), where it is -2 times the
 one-vertex graph; with it, d∘d = 0 holds (exhaustively tested).
@@ -33,7 +35,8 @@ oracle `_lie_orbit_min`.
 Bases come from one depth-first walk over nondecreasing sequences of
 vertex pairs (enumerate_graphs), which emits graphs in Graph order, each
 before its extensions.  It prunes a branch once a vertex short of the
-minimum valence can no longer be reached, or once the valence deficit
+minimum valence can no longer be reached (a connected graph on two or more
+vertices has minimum valence at least one), or once the valence deficit
 exceeds what the remaining edges can fill.  The build-then-filter loop over
 every pair combination that it replaces is the test oracle
 `_enumerate_oracle`.
@@ -142,11 +145,11 @@ def _signed_pairs(pairs) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     Each pair written high end first flips, contributing -1.  This is the one
     orientation step: `graph`, `sigma_act`, `lie_class`,
     `diagrams.chord_diagram`, `pair_monomial`, `package`, `symplectic.tstar`
-    and `word_to_graphs` all take their pairs from it.  `_contract` keeps its
-    own count: it is the stripe's hot path, builds the contracted edges in
-    the same pass, and knows that only the edges (a, j) with i < a < j can
-    flip.  It returns each contraction's whole sign in δ, (-1)^j times -1
-    per flipped edge.
+    and `word_to_graphs` all take their pairs from it.  `differential_graph`
+    keeps its own count: it is the stripe's hot path, builds each
+    contracted edge list in the same pass, and knows that only the edges
+    (a, j) with i < a < j can flip.  It takes each contraction's whole sign
+    in δ, (-1)^j times -1 per flipped edge.
     """
     sign = 1
     norm = []
@@ -162,42 +165,38 @@ def _signed_pairs(pairs) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     return sign, tuple(norm)
 
 
-def _contract(g: Graph, k: int) -> tuple[Graph, int] | None:
-    """(g with its k-th edge (i, j) contracted, its sign in δg), or None when a
-    loop would appear.
+def differential_graph(g: Graph) -> LinComb:
+    """δ on one basis graph: signed sum of single-edge contractions.
 
-    j merges into i and labels above j shift down by one.  A loop appears
-    exactly when another copy of (i, j) remains, and in the sorted edge
-    tuple a copy sits next to edge k.  The sign is (-1)^(j+f), where f
-    counts the other edges (a, j) with i < a < j: they become (i, a), the
-    only written directions the merge reverses.
+    Contracting an edge (i, j) merges j into i and shifts labels above j
+    down by one.  A loop appears exactly when another copy of (i, j)
+    remains, so an edge of multiplicity above one gives no term.  The sign
+    is (-1)^(j+f), where f counts the other edges (a, j) with i < a < j:
+    they become (i, a), the only written directions the merge reverses.
     """
     edges = g.edges
-    edge = edges[k]
-    if edges[max(k - 1, 0):k + 2].count(edge) > 1:
-        return None
-    i, j = edge
-    sign = -1 if j & 1 else 1
-    new_edges = []
-    for a, b in edges:
-        if b > j:
-            new_edges.append((a if a < j else i if a == j else a - 1, b - 1))
-        elif b < j:
-            new_edges.append((a, b))
-        elif a < i:
-            new_edges.append((a, i))
-        elif a > i:
-            sign = -sign
-            new_edges.append((i, a))
-        # else (a, b) is edge k itself, the only copy, and it is dropped
-    new_edges.sort()
-    return Graph(g.n - 1, tuple(new_edges)), sign
-
-
-def differential_graph(g: Graph) -> LinComb:
-    """δ on one basis graph: signed sum of single-edge contractions."""
-    return LinComb.sum(term for k in range(len(g.edges))
-                       if (term := _contract(g, k)) is not None)
+    n = g.n - 1
+    terms = []
+    for edge in edges:
+        if edges.count(edge) > 1:
+            continue
+        i, j = edge
+        sign = -1 if j & 1 else 1
+        new_edges = []
+        for a, b in edges:
+            if b > j:
+                new_edges.append((a if a < j else i if a == j else a - 1, b - 1))
+            elif b < j:
+                new_edges.append((a, b))
+            elif a < i:
+                new_edges.append((a, i))
+            elif a > i:
+                sign = -sign
+                new_edges.append((i, a))
+            # else (a, b) is the contracted edge itself, the only copy, and it is dropped
+        new_edges.sort()
+        terms.append((Graph(n, tuple(new_edges)), sign))
+    return LinComb.sum(terms)
 
 
 def differential(x: LinComb) -> LinComb:
@@ -494,9 +493,10 @@ def _walk_graphs(n: int, min_edges: int, max_edges: int, min_valence: int,
     The walk extends a nondecreasing sequence of pairs (i, j), i < j, one
     pair at a time in increasing order and emits each valid sequence before
     its extensions, so the output is sorted with prefixes first.  Two prunes
-    stop a branch early:
+    stop a branch early, for a valence floor of min_valence, raised to 1
+    when only connected graphs on n >= 2 vertices are wanted:
     - once the next pair would start past a vertex whose valence is still
-      below min_valence, since every later pair misses that vertex;
+      below the floor, since every later pair misses that vertex;
     - once the total valence deficit exceeds twice the edges still allowed,
       since one edge raises two valences.
     Edge tuples hold the pair objects of one shared pair list, laid out
@@ -507,7 +507,8 @@ def _walk_graphs(n: int, min_edges: int, max_edges: int, min_valence: int,
         raise ValueError(f"the graph walk takes at most {_WALK_MAX_EDGES} edges, not {max_edges}")
     # past[v]: index of the first pair starting after vertex v
     past = [v * n - v * (v + 1) // 2 for v in range(n + 1)]
-    floor = max(min_valence, 0)
+    # a connected graph on n >= 2 vertices has no isolated vertex
+    floor = max(min_valence, 1 if connected_only and n > 1 else 0)
     val = [0] * (n + 1)
     chosen: list[tuple[int, int]] = []
     # the edgeless graph, the root of the walk, is connected only for n = 1
@@ -553,6 +554,9 @@ def _component_count(n: int, edges) -> int:
         while parent[j] != j:
             j = parent[j]
         if i != j:
-            parent[max(i, j)] = min(i, j)
+            if i < j:
+                parent[j] = i
+            else:
+                parent[i] = j
             joins += 1
     return n - joins

@@ -71,30 +71,43 @@ def _fraction_eliminate(m, skip_rows=()):
     """Sparse Fraction elimination with rank's pivot rule: the reference oracle.
 
     Among the rows outside ``skip_rows`` pick the sparsest (ties by original
-    index), pivot on its smallest column, clear that column from every other
-    row, and apply the same moves to the row transforms, which start at the
-    identity.  Yields (pivot column, pivot row, transform) for each pivot.
+    index), pivot on its column held by the fewest rows (ties by the
+    smallest column), clear that column from every other row, and apply the
+    same moves to the row transforms, which start at the identity.  Yields
+    (pivot column, pivot row, transform) for each pivot.
+
+    The count of rows holding a column is the one `_eliminate` reads: the
+    length of a list of row ids that gains an id whenever the column enters
+    a row, at the start or through an update, and loses none when the row
+    is pivoted, cleared or drops the column again.
     """
     acc = {}
     for (r, c), val in m.entries:
         if r not in skip_rows:
             acc.setdefault(r, {})[c] = Fraction(val)
-    rows = [(acc[r], {r: Fraction(1)}) for r in sorted(acc)]
+    rows = [(r, acc[r], {r: Fraction(1)}) for r in sorted(acc)]
+    holders = {}
+    for r, row, _ in rows:
+        for c in row:
+            holders.setdefault(c, []).append(r)
     while rows:
-        piv_idx = min(range(len(rows)), key=lambda i: (len(rows[i][0]), i))
-        pivot, transform = rows.pop(piv_idx)
-        piv_col = min(pivot)
+        piv_idx = min(range(len(rows)), key=lambda i: (len(rows[i][1]), rows[i][0]))
+        _, pivot, transform = rows.pop(piv_idx)
+        piv_col = min(pivot, key=lambda c: (len(holders[c]), c))
         yield piv_col, pivot, transform
         reduced = []
-        for row, row_transform in rows:
+        for r, row, row_transform in rows:
             if piv_col in row:
+                for c in pivot:
+                    if c not in row:
+                        holders[c].append(r)
                 factor = row[piv_col] / pivot[piv_col]
                 row = _fraction_subtract(row, pivot, factor)
                 if row:
                     reduced.append(
-                        (row, _fraction_subtract(row_transform, transform, factor)))
+                        (r, row, _fraction_subtract(row_transform, transform, factor)))
             else:
-                reduced.append((row, row_transform))
+                reduced.append((r, row, row_transform))
         rows = reduced
 
 
@@ -246,6 +259,21 @@ def test_rank_matches_fraction_rank_on_fraction_matrices():
         rows, cols = rng.randint(1, 12), rng.randint(1, 12)
         m = _random_sparse(rng, rows, cols, rng.choice((0.3, 0.6)), entry)
         _assert_rank_matches_oracles(m, case)
+
+
+def test_pivot_column_is_the_one_held_by_fewest_rows():
+    # the sparsest row, {0, 1}, pivots on column 1 (two rows hold it), not on
+    # its smallest column 0 (three rows); that pivot puts column 0 into row 2
+    # and the next puts column 3 there.  The last pivot row, {0, 3}, is the
+    # only live holder of either column, and column 3 wins because the count
+    # keeps the ids of rows that were pivoted since: 3 against 4 for column 0
+    m = from_dense([[1, 1, 0, 0, 0],
+                    [1, 0, 1, 1, 0],
+                    [0, 1, 1, 0, 1],
+                    [1, 0, 0, 1, 1]])
+    assert [c for c, _, _ in _eliminate(m)] == [1, 2, 4, 3]
+    assert [c for c, _, _ in _fraction_eliminate(m)] == [1, 2, 4, 3]
+    _assert_eliminate_matches_oracle(m, ())
 
 
 def test_rank_of_mixed_stripe_differentials():

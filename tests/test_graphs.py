@@ -87,7 +87,8 @@ def _enumerate_oracle(n, max_edges, min_valence=0, connected_only=False):
     return out
 
 
-@pytest.mark.parametrize("args", [(6, 8, 2, True), (6, 7, 0, False)])
+@pytest.mark.parametrize("args", [(6, 8, 2, True), (6, 7, 0, False), (6, 6, 0, True),
+                                  (5, 6, 1, True)])
 def test_enumerate_graphs_matches_oracle_at_stripe_size(args):
     # the walk emits the oracle's list in the oracle's order
     assert enumerate_graphs(*args) == _enumerate_oracle(*args)
@@ -283,6 +284,31 @@ def test_components_round_trip_on_assembled():
         for p in parts:
             g = disjoint_union(g, p)
         assert connected_components(g) == parts
+
+
+def test_component_count_matches_search_and_components():
+    # seeded multigraphs: blocks of random edges (repeats included) on a
+    # few vertices each, beside isolated vertices, relabelled at random so
+    # that components interleave
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(400):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        edges, start = [], 0
+        for size in sizes:
+            if size > 1:
+                edges += [tuple(start + v for v in rng.sample(range(1, size + 1), 2))
+                          for _ in range(rng.randint(0, 2 * size))]
+            start += size
+        label = rng.sample(range(1, start + 1), start)
+        g = graph(start, [(label[i - 1], label[j - 1]) for i, j in edges])
+        count = graphs._component_count(g.n, g.edges)
+        assert count == len(connected_components(g))
+        assert (count == 1) == _connected(g)
+        seen.add((count, min(valences(g)) == 0))
+    # single and several components, with and without isolated vertices
+    assert {(1, False), (1, True), (3, False), (3, True)} <= seen
+    assert graphs._component_count(0, ()) == len(connected_components(UNIT)) == 0
 
 
 def test_sigma_act_identity_and_size_check():

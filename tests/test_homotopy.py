@@ -140,6 +140,14 @@ def test_core_stripe_top_degree_reliable():
         assert dims == homology_dims(stripe("core", loop, 2 * loop + 3))
 
 
+def test_core_stripe_at_four_loops_is_acyclic_through_six_vertices():
+    # H_6 of this stripe needs degree 7, which is left out here
+    cx = stripe("core", 4, 6)
+    assert [len(cx.basis[n]) for n in range(1, 7)] == [0, 1, 18, 270, 2840, 20157]
+    dims = homology_dims(cx)
+    assert [dims[k] for k in range(2, 6)] == [(0, True)] * 4
+
+
 def test_polygon_stripe_is_labelled_polygons():
     cx = stripe("polygon", 0, 6)
     assert all(cx.basis[n] == tuple(labelled_polygons(n)) for n in range(1, 7))
