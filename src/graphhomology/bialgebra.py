@@ -2,8 +2,10 @@
 
 The coproduct splits the ordered component list: the first component stays in
 the left tensor factor, the rest distribute over both sides keeping their
-order.  Connected graphs are primitive.  The projector is the alternating
-left-bracketed convolution series, which truncates at the component count.
+order.  Connected graphs are primitive.  The projector, the convolution series
+J - J*J + (J*J)*J - ... (Loday & Ronco 2006), has a closed form: Δ̄ reads only
+the component list, so past J the series agrees on g and on b(g), g's
+components joined in order, a product it kills.
 A series in the free magma, truncated at a degree bound, is a LinComb keyed
 by planar binary trees; every tree has at least one leaf, so no series has a
 constant term.
@@ -55,28 +57,34 @@ def _splits(items):
 COPRODUCT_MAX_COMPONENTS = 16
 
 
-def cohalf_shuffle(g: Graph) -> LinComb:
-    """Split the component word, first component pinned to the left factor.
-
-    Output is a combination of ordered (left graph, right graph) pairs; for
-    connected input the single term is g ⊗ unit.  A graph with more than
-    COPRODUCT_MAX_COMPONENTS components raises ValueError.
-    """
-    if g == UNIT:
-        raise ValueError("the unit graph has no half-shuffle coproduct")
+def _components(g: Graph) -> list[Graph]:
+    """g's components; more than COPRODUCT_MAX_COMPONENTS are refused unbuilt."""
     count = _component_count(g.n, g.edges)
     if count > COPRODUCT_MAX_COMPONENTS:
         raise ValueError(f"the coproduct splits a graph of {count} components; at most "
                          f"{COPRODUCT_MAX_COMPONENTS} components are supported")
-    comps = connected_components(g)
-    head, tail = comps[0], comps[1:]
+    return connected_components(g)
+
+
+def cohalf_shuffle(g: Graph) -> LinComb:
+    """Split the component word, first component pinned to the left factor.
+
+    Output is a combination of ordered (left graph, right graph) pairs; the
+    one with the unit right is b(g) ⊗ unit, b(g) the ordered disjoint union of
+    g's components (g itself only if g is block-ordered).  A graph with more
+    than COPRODUCT_MAX_COMPONENTS components raises ValueError.
+    """
+    if g == UNIT:
+        raise ValueError("the unit graph has no half-shuffle coproduct")
+    head, *tail = _components(g)
     return LinComb.sum(((assemble((head,) + left), assemble(right)), 1)
                        for left, right in _splits(tail))
 
 
 def reduced_cohalf_shuffle(g: Graph) -> LinComb:
-    """cohalf_shuffle minus the g ⊗ unit term; lands in nonunit ⊗ nonunit."""
-    return cohalf_shuffle(g) - LinComb.of((g, UNIT))
+    """cohalf_shuffle without its b(g) ⊗ unit term: lands in nonunit ⊗
+    nonunit and reads only g's ordered component list."""
+    return LinComb.sum((lr, c) for lr, c in cohalf_shuffle(g).items() if lr[1] != UNIT)
 
 
 def tau(x: LinComb) -> LinComb:
@@ -130,34 +138,19 @@ def check_compatibility(a: Graph, b: Graph) -> LinComb:
     return lhs - rhs
 
 
-def _convolution_power(k: int, g: Graph, memo: dict) -> LinComb:
-    """Left-bracketed k-th convolution power of (identity minus unit) at g."""
-    if k == 1:
-        return LinComb.of(g)
-    key = (k, g)
-    if key not in memo:
-        memo[key] = reduced_cohalf_shuffle(g).mapped(
-            lambda lr: _convolution_power(k - 1, lr[0], memo).map_keys(
-                lambda m: disjoint_union(m, lr[1])))
-    return memo[key]
-
-
 def primitive_projector(x: LinComb) -> LinComb:
-    """Alternating convolution series J - J*J + (J*J)*J - ...
+    """The convolution series J - J*J + (J*J)*J - ..., in closed form.
 
-    Convolution is through the reduced coproduct, so the k-th power vanishes
-    on graphs with fewer than k components: the series truncates at the
-    component count.  Fixes connected graphs, kills proper products,
-    idempotent.
+    A connected graph goes to itself and any other graph g, the unit too, to
+    g - b(g), b(g) the ordered disjoint union of its components: zero exactly
+    when g is block-ordered.  Idempotent; the reduced coproduct kills its
+    image.  More than COPRODUCT_MAX_COMPONENTS components raise ValueError.
     """
-    memo: dict = {}
-
     def per_graph(g: Graph) -> LinComb:
-        if g == UNIT:
-            return LinComb()
-        return LinComb.sum((h, (-1) ** (k - 1) * c)
-                           for k in range(1, _component_count(g.n, g.edges) + 1)
-                           for h, c in _convolution_power(k, g, memo).items())
+        comps = _components(g)
+        if len(comps) == 1:
+            return LinComb.of(g)
+        return LinComb.sum(((g, 1), (assemble(comps), -1)))
 
     return x.mapped(per_graph)
 

@@ -45,8 +45,8 @@ __all__ = [
 def rational(value) -> Rational:
     """Coerce to an exact scalar: ints and Fractions unchanged, "p/q" to a Fraction.
 
-    A string that is not a rational, a zero denominator among them, raises
-    ValueError.
+    Any other value, and a string that is not a rational, a zero denominator
+    among them, raises ValueError.
     """
     if isinstance(value, (int, Fraction)):
         return value
@@ -55,7 +55,7 @@ def rational(value) -> Rational:
             return Fraction(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
-    raise TypeError(f"not an exact rational: {value!r}")
+    raise ValueError(f"not an exact rational: {value!r}")
 
 
 class LinComb:
@@ -206,7 +206,7 @@ class SparseMatrix:
         for (r, c), val in entries.items():
             val = rational(val)
             if not (0 <= r < rows and 0 <= c < cols):
-                raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
+                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
             if val:
                 clean.append((r, c, val))
         clean.sort()

@@ -463,9 +463,9 @@ def enumerate_graphs(n: int, max_edges: int, min_valence: int = 0,
     Edge counts too small for the constraints are never emitted: n vertices
     of valence min_valence need ceil(n * min_valence / 2) edges, a connected
     graph n - 1, and when that least count exceeds max_edges the walk is not
-    started.  A negative n raises ValueError, and so does a listing of
-    more than ENUMERATE_MAX_GRAPHS graphs, as soon as the walk passes that count
-    or, when its edgeless and single-edge graphs alone pass it, before the walk.
+    started.  A negative n raises ValueError, and so does a listing of more than
+    ENUMERATE_MAX_GRAPHS graphs: up front when its edgeless and single-edge graphs
+    or its n^(n-2) trees (Cayley) alone pass that count, else once the walk does.
     """
     if n < 0:
         raise ValueError(f"a graph needs n >= 0 vertices, not {n}")
@@ -476,7 +476,10 @@ def enumerate_graphs(n: int, max_edges: int, min_valence: int = 0,
         return []
     refusal = (f"enumerate_graphs lists more than {ENUMERATE_MAX_GRAPHS} graphs "
                f"on {n} vertices with at most {max_edges} edges")
-    if least == 0 < max_edges and 1 + n * (n - 1) // 2 > ENUMERATE_MAX_GRAPHS:
+    # a connected listing with min_valence <= 1 holds every tree, if the walk runs
+    trees = connected_only and min_valence <= 1 and 2 <= n and max_edges <= _WALK_MAX_EDGES
+    if (least == 0 < max_edges and 1 + n * (n - 1) // 2 > ENUMERATE_MAX_GRAPHS
+            or trees and n ** (n - 2) > ENUMERATE_MAX_GRAPHS):
         raise ValueError(refusal)
     walk = _walk_graphs(n, least, max_edges, min_valence, connected_only)
     out = list(itertools.islice(walk, ENUMERATE_MAX_GRAPHS + 1))

@@ -1,15 +1,17 @@
 """Reference oracles and small helpers that several test modules share.
 
 The oracles (`all_pairings`, `contract`, `symplectic_form`,
-`chord_differential`, `unsigned_cohalf_pq`, `check_interchange_unsigned`)
-are written from their definitions, not through the code they check.
+`chord_differential`, `unsigned_cohalf_pq`, `check_interchange_unsigned`,
+`primitive_series`) are written from their definitions, not through the code
+they check.
 """
 
 import itertools
 
+from graphhomology.bialgebra import reduced_cohalf_shuffle
 from graphhomology.diagrams import varphi_inverse
 from graphhomology.exactlinalg import LinComb
-from graphhomology.graphs import graph, valences
+from graphhomology.graphs import UNIT, connected_components, disjoint_union, graph, valences
 from graphhomology.symplectic import (
     TensorWord, leibniz_differential, monomial, word_from_strings)
 
@@ -174,3 +176,28 @@ def check_interchange_unsigned(w: TensorWord, p: int, q: int) -> LinComb:
         for rterm, rc in leibniz_differential(LinComb.of(right)).items():
             rhs = rhs + LinComb.of((left, rterm), c * rc)
     return lhs - rhs
+
+
+def primitive_series(x: LinComb) -> LinComb:
+    """The alternating convolution series J - J*J + (J*J)*J - ... on x
+    (Loday & Ronco, J. reine angew. Math. 2006).
+
+    J is the identity minus the unit, and the left-bracketed k-th power at g
+    sums J^(k-1)(a) ⊔ b over the terms a ⊗ b of the reduced coproduct of g.
+    Each power splits off one more component, so the k-th vanishes past g's
+    component count, where the series is cut.
+    """
+    def power(k, g):
+        if k == 1:
+            return LinComb.of(g)
+        return reduced_cohalf_shuffle(g).mapped(
+            lambda lr: power(k - 1, lr[0]).map_keys(lambda m: disjoint_union(m, lr[1])))
+
+    def per_graph(g):
+        if g == UNIT:
+            return LinComb()
+        return LinComb.sum((h, (-1) ** (k - 1) * c)
+                           for k in range(1, len(connected_components(g)) + 1)
+                           for h, c in power(k, g).items())
+
+    return x.mapped(per_graph)

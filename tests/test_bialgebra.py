@@ -5,6 +5,7 @@ import pytest
 
 from graphhomology.exactlinalg import LinComb
 from graphhomology.bialgebra import (
+    COPRODUCT_MAX_COMPONENTS,
     LEAF,
     SERIES_MAX_DEGREE,
     check_compatibility,
@@ -26,13 +27,14 @@ from graphhomology.bialgebra import (
 from graphhomology.graphs import (
     UNIT,
     assemble,
+    connected_components,
     disjoint_union,
     enumerate_graphs,
     graph,
     products_of,
 )
 from graphhomology.symplectic import random_split_word, word_from_strings
-from oracles import check_interchange_unsigned
+from oracles import check_interchange_unsigned, primitive_series
 
 H1 = graph(2, [(1, 2), (1, 2)])
 H = disjoint_union(H1, H1)
@@ -44,6 +46,21 @@ def component_pool():
     for n in range(1, 4):
         pool.extend(enumerate_graphs(n, 3, connected_only=True))
     return pool
+
+
+def interleaved_pool():
+    """Seeded random graphs on up to 6 vertices whose components interleave
+    their labels, so that b(g), the ordered disjoint union of g's
+    components, is not g."""
+    rng = random.Random(29)
+    pool = set()
+    while len(pool) < 40:
+        n = rng.randint(3, 6)
+        pairs = [tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(rng.randint(1, n))]
+        g = graph(n, pairs)
+        if assemble(connected_components(g)) != g:
+            pool.add(g)
+    return sorted(pool)
 
 
 def test_cohalf_connected():
@@ -135,8 +152,6 @@ def test_projector_idempotent_random():
 
 
 def test_projector_kernel_and_image():
-    from graphhomology.graphs import connected_components
-
     pool = component_pool()
     for g in products_of(pool, 3):
         image = primitive_projector(LinComb.of(g))
@@ -144,6 +159,43 @@ def test_projector_kernel_and_image():
             assert image == LinComb.of(g)
         else:
             assert image.is_zero()
+
+
+def test_reduced_coproduct_drops_the_all_left_term_of_interleaved_graphs():
+    # the term with the unit on the right is b(g) ⊗ 1, not g ⊗ 1
+    g = graph(4, [(1, 3), (1, 3), (2, 4), (2, 4)])
+    assert cohalf_shuffle(g) == LinComb.of((H, UNIT)) + LinComb.of((H1, H1))
+    assert reduced_cohalf_shuffle(g) == LinComb.of((H1, H1))
+    assert primitive_projector(LinComb.of(g)) == LinComb.of(g) - LinComb.of(H)
+    for g in interleaved_pool():
+        assert all(right != UNIT for (_, right), _ in reduced_cohalf_shuffle(g).items()), g
+
+
+def test_projector_on_interleaved_graphs():
+    for g in interleaved_pool():
+        image = primitive_projector(LinComb.of(g))
+        assert image == LinComb.of(g) - LinComb.of(assemble(connected_components(g)))
+        assert primitive_projector(image) == image
+        assert image.mapped(reduced_cohalf_shuffle).is_zero(), g
+
+
+def test_zinbiel_coalgebra_on_interleaved_graphs():
+    for g in interleaved_pool():
+        defect = check_zinbiel_coalgebra(g)
+        assert defect.is_zero(), (g, defect)
+
+
+def test_projector_matches_the_convolution_series():
+    # the closed form against the series written from its definition
+    pool = [g for n in range(5) for g in enumerate_graphs(n, 5)] + interleaved_pool()
+    for g in pool:
+        assert primitive_projector(LinComb.of(g)) == primitive_series(LinComb.of(g)), g
+
+
+def test_projector_refuses_too_many_components():
+    g = graph(COPRODUCT_MAX_COMPONENTS + 1, [])
+    with pytest.raises(ValueError, match="at most 16 components are supported"):
+        primitive_projector(LinComb.of(g))
 
 
 def test_series_terms():

@@ -161,11 +161,17 @@ def test_rational_round_trip():
     assert rational("-7") == Fraction(-7)
     q = Fraction(-7, 2)
     assert str(q) == "-7/2" and rational(str(q)) == q
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="not an exact rational: 0.5"):
         rational(0.5)
     for text in ("1/0", "0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             rational(text)
+
+
+def test_entry_outside_the_matrix_is_refused():
+    for entry in ((2, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match=rf"entry \({entry[0]},{entry[1]}\) outside 2x3"):
+            SparseMatrix.from_entries(2, 3, {entry: 1})
 
 
 def test_lincomb_cancellation_and_identity():

@@ -110,6 +110,21 @@ def test_enumerate_graphs_refuses_a_long_listing_before_the_walk():
         enumerate_graphs(800, 1)
 
 
+def test_enumerate_graphs_refuses_a_listing_of_too_many_trees_before_the_walk():
+    # a connected listing holds all n^(n-2) labelled trees: 9^7 pass the cap
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="more than 300000 graphs on 12 vertices with at most 11"):
+        enumerate_graphs(12, 11, connected_only=True)
+    with pytest.raises(ValueError, match="more than 300000 graphs on 9 vertices"):
+        enumerate_graphs(9, 8, 1, connected_only=True)
+    # past the walk's edge bound the walk's own refusal comes first
+    with pytest.raises(ValueError, match="the graph walk takes at most 500 edges, not 600"):
+        enumerate_graphs(9, 600, connected_only=True)
+    assert time.perf_counter() - start < 0.5
+    # below the cap the trees are walked: 7^5 of them on 7 vertices
+    assert len(enumerate_graphs(7, 6, connected_only=True)) == 7 ** 5
+
+
 def test_walk_refuses_more_edges_than_it_can_nest():
     # the walk at its bound stays within the default recursion limit
     bound = graphs._WALK_MAX_EDGES

@@ -1,7 +1,8 @@
 """Every graphhomology module exports only names it defines, `exactlinalg`
-defines the one exception class, only `exactlinalg` reaches into a `LinComb`,
-only `exactlinalg._assemble` builds a `SparseMatrix`, and only
-`homotopy.slice_from_bases` builds a `ChainComplexSlice`."""
+defines the one exception class, every refusal raises `ValueError`, only
+`exactlinalg` reaches into a `LinComb`, only `exactlinalg._assemble` builds a
+`SparseMatrix`, and only `homotopy.slice_from_bases` builds a
+`ChainComplexSlice`."""
 
 import ast
 import importlib
@@ -57,6 +58,32 @@ def test_exactlinalg_defines_the_one_exception_class():
 
 
 SOURCES = sorted(Path(graphhomology.__file__).parent.glob("*.py"))
+
+
+def _raises(tree: ast.AST, cls=None) -> list[tuple[str | None, str | None, int]]:
+    """(enclosing class, raised name, line) for every ``raise`` in ``tree``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((cls, getattr(exc, "id", None), node.lineno))
+        found += _raises(node, node.name if isinstance(node, ast.ClassDef) else cls)
+    return found
+
+
+# the immutable values refuse attribute assignment as Python's own types do
+IMMUTABLE = {("graphs", "Graph"), ("symplectic", "TensorWord")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_every_raise_is_a_refusal_or_a_complex_defect(path):
+    # cli turns ValueError (and KeyError, OSError) into a usage error, so a
+    # refusal raised as any other type would end in a traceback
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [f"{path.name}:{line} raises {name}" for cls, name, line in _raises(tree)
+             if name not in ("ValueError", "NotAComplexError")
+             and not (name == "AttributeError" and (path.stem, cls) in IMMUTABLE)]
+    assert not found, found
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
