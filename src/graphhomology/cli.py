@@ -148,7 +148,13 @@ def _diagram_from_record(rec) -> LinComb:
 def _cmd_enumerate(config: argparse.Namespace):
     gs = graphs.enumerate_graphs(config.vertices, config.edges,
                                  config.min_valence, config.connected)
-    _emit(config, [_graph_to_record(g) for g in gs])
+    # the bytes of _emit on the list of records, encoded one record at a
+    # time, so the records are never held all at once
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    records = (("," if i else "") + "\n  "
+               + encode(_graph_to_record(g)).replace("\n", "\n  ")
+               for i, g in enumerate(gs))
+    _write(config, itertools.chain(["["], records, ["\n]" if gs else "]"]))
     return 0
 
 

@@ -9,9 +9,11 @@ drops the keys that cancel, so that rule is kept here alone.
 A `SparseMatrix` stores compressed rows, three flat tuples that only this
 module reads; `_assemble` lays every matrix out from flat lists of rows,
 columns and values.
-`rank` and `chain_contraction` share one fraction-free elimination, which
-scales each row to integers; a Fraction appears only where a value is not
-integral and in the back substitution that gives a contraction's h.
+`rank`, which takes one matrix, and `_chain_eliminate`, the bottom-up loop
+behind `homology_dims` and `chain_contraction`, share one fraction-free
+elimination, which scales each row to integers; a Fraction appears only
+where a value is not integral and in the back substitution that gives a
+contraction's h.
 Scalars are divided as ``Fraction(a, b)``, never ``a / b``, which gives a
 float on two ints.
 """
@@ -310,9 +312,12 @@ def _combine(row: dict[int, Rational], pivot: dict[int, Rational],
     return new
 
 
+# (pivot column, pivot row, row transform or None), as `_eliminate` yields it
+_Pivot = tuple[int, dict[int, int], dict[int, int] | None]
+
+
 def _eliminate(m: SparseMatrix, skip_rows: Container[int] = (),
-               transforms: bool = False) -> Iterator[
-        tuple[int, dict[int, int], dict[int, int] | None]]:
+               transforms: bool = False) -> Iterator[_Pivot]:
     """Fraction-free elimination of the rows of m outside ``skip_rows``.
 
     Yields (pivot column, pivot row, transform) per pivot; their number is
@@ -434,45 +439,69 @@ class ChainComplexSlice:
                 raise NotAComplexError(f"d∘d nonzero at degree {k}")
 
 
+def _chain_eliminate(c: ChainComplexSlice,
+                     solve: Callable[[Iterator[_Pivot]], dict] | None = None
+                     ) -> Iterator[tuple[int, Container[int]]]:
+    """Each differential of a slice eliminated on the rows that can carry rank.
+
+    Degree by degree from the bottom, k = lo+1..hi, d_k is eliminated
+    without the rows that are pivot columns of d_{k-1}.  Those coordinates
+    span a complement of ker d_{k-1}, and im d_k lies in ker d_{k-1}, as the
+    slice enforces d∘d = 0, so no nonzero boundary vanishes on the remaining
+    rows and they still carry rank d_k; structured elimination drops such
+    rows for the same reason (LaMacchia & Odlyzko 1990).  Yields k with the
+    pivot columns of d_k, whose number is rank d_k: a set of columns, which
+    keeps no pivot row, or, given ``solve``, what it returns from d_k's
+    pivots with their transforms, a mapping keyed by the pivot columns.
+    """
+    lo, hi = c.degrees
+    lower: Container[int] = ()
+    for k in range(lo + 1, hi + 1):
+        pivots = _eliminate(c.d[k], lower, transforms=solve is not None)
+        lower = solve(pivots) if solve else {col for col, _, _ in pivots}
+        yield k, lower
+
+
 def homology_dims(c: ChainComplexSlice) -> dict[int, tuple[int, bool]]:
     """Per-degree homology dimension and a reliability flag.
 
     dim H_k = dim C_k - rank d_k - rank d_{k+1}, with d_lo and d_{hi+1} zero.
+    Each rank is the pivot count of `_chain_eliminate`, which eliminates d_k
+    without the rows that are pivot columns of d_{k-1}: those rows meet no
+    nonzero boundary, so the rank is that of the whole d_k.  Only each
+    degree's pivot columns are kept, never a pivot row.
     Every basis of a slice is complete, so H_k is reliable exactly when both
     neighbouring degrees are in the slice, lo < k < hi.  d∘d = 0 is enforced
     at slice construction; a violation raises rather than warns.
     """
     lo, hi = c.degrees
-    ranks = {k: rank(mat) for k, mat in c.d.items()}
+    ranks = {k: len(cols) for k, cols in _chain_eliminate(c)}
     return {k: (len(c.basis[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0), lo < k < hi)
             for k in range(lo, hi + 1)}
 
 
-def _pivot_inverse(m: SparseMatrix, skip_rows: set[int]) -> tuple[
-        dict[tuple[int, int], Rational], set[int]]:
-    """Entries of an inverse g of m on its column space, and m's pivot columns.
+def _pivot_inverse(pivots: Iterable[_Pivot]) -> dict[int, dict[int, Rational]]:
+    """The rows of an inverse g of a matrix m on its column space.
 
-    `_eliminate` reduces the rows of m outside ``skip_rows`` in integers and
-    hands over each pivot row with its integral row transform.  Back
-    substitution through the pivot rows, the one step in Fraction, then
-    gives g: it sends a vector y to the unique x, supported on the pivot
-    columns, whose image m x agrees with y on the pivot rows.  So g kills
-    every vector that vanishes on the pivot rows, and g m x = x for x on the
-    pivot columns when the kept rows carry the full rank of m.  The number
-    of pivot columns is rank m.
+    ``pivots`` are m's pivots from `_eliminate` with their integral row
+    transforms.  Back substitution through the pivot rows, the one step in
+    Fraction, gives g: it sends a vector y to the unique x, supported on the
+    pivot columns, whose image m x agrees with y on the pivot rows.  So g
+    kills every vector that vanishes on the pivot rows, and g m x = x for x
+    on the pivot columns when the eliminated rows carry the full rank of m.
+    The result maps each pivot column c to row c of g, {row of m: value};
+    its keys are exactly the pivot columns.
     """
-    pivots = list(_eliminate(m, skip_rows, transforms=True))
     # a pivot row is zero on the pivot columns chosen before it, so the pivot
     # block is triangular: solving from the last pivot back, every other
     # pivot column of a row is solved already
     solved: dict[int, dict[int, Rational]] = {}
-    for piv_col, pivot, x in reversed(pivots):
+    for piv_col, pivot, x in reversed(list(pivots)):
         for c, val in pivot.items():
             if c in solved:
                 x = _combine(x, solved[c], 1, val)
         solved[piv_col] = {r: Fraction(val, pivot[piv_col]) for r, val in x.items()}
-    entries = {(col, r): val for col, row in solved.items() for r, val in row.items()}
-    return entries, set(solved)
+    return solved
 
 
 @dataclass(frozen=True)
@@ -520,23 +549,22 @@ class ChainContraction:
 def chain_contraction(c: ChainComplexSlice) -> ChainContraction:
     """Exact chain contraction of a slice, one integer elimination per differential.
 
-    Degree by degree from the bottom, d_{k+1} is eliminated without the rows
-    that are pivot columns of d_k.  Those coordinates span a complement of
-    ker d_k, which meets the boundaries only in zero, so the remaining rows
-    still carry rank d_{k+1}.  h_k is the resulting inverse of d_{k+1}: it
-    lands on the pivot columns of d_{k+1} and kills every pivot column of
+    The pivots come from `_chain_eliminate`, the loop `homology_dims`
+    counts: d_{k+1} is eliminated with transforms, without the rows that
+    are pivot columns of d_k, and the remaining rows still carry rank
+    d_{k+1}.  h_k is the inverse `_pivot_inverse` builds from those pivots:
+    it lands on the pivot columns of d_{k+1} and kills every pivot column of
     d_k, and these two facts make the pieces fit into the identity that
     `ChainContraction` states.  This is the standard splitting C_k = B_k ⊕
     H_k ⊕ B'_k, with B'_k spanned by the pivot columns of d_k and H_k by the
     cycles that vanish on the pivot rows of d_{k+1}.
     """
-    lo, hi = c.degrees
     h: dict[int, SparseMatrix] = {}
     ranks: dict[int, int] = {}
-    lower_pivots: set[int] = set()
-    for k in range(lo, hi):
-        d = c.d[k + 1]
-        entries, lower_pivots = _pivot_inverse(d, lower_pivots)
-        h[k] = SparseMatrix.from_entries(d.cols, d.rows, entries)
-        ranks[k + 1] = len(lower_pivots)
+    for k, solved in _chain_eliminate(c, _pivot_inverse):
+        d = c.d[k]
+        h[k - 1] = SparseMatrix.from_entries(
+            d.cols, d.rows,
+            {(col, r): val for col, row in solved.items() for r, val in row.items()})
+        ranks[k] = len(solved)
     return ChainContraction(c, h, ranks)

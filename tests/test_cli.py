@@ -40,6 +40,18 @@ def test_enumerate_min_valence(capsys):
     ]
 
 
+@pytest.mark.parametrize("vertices,edges,expected", [(3, 1, 0), (3, 3, 10)])
+def test_enumerate_streams_the_bytes_of_one_json_dump(vertices, edges, expected, capsys):
+    # records are encoded one at a time; the bytes must be those of the
+    # whole list dumped at once, brackets of the empty listing included
+    rc, out = run_cli(["enumerate", "--vertices", str(vertices), "--edges", str(edges),
+                       "--connected"], capsys)
+    gs = graphs.enumerate_graphs(vertices, edges, connected_only=True)
+    assert rc == 0 and len(gs) == expected
+    records = [{"n": g.n, "edges": [list(e) for e in g.edges]} for g in gs]
+    assert out == json.dumps(records, indent=2, sort_keys=True) + "\n"
+
+
 def test_diff_worked_graph(tmp_path, capsys):
     path = write_json(tmp_path, "g.json", G_REC)
     rc, out = run_cli(["diff", "--input", path], capsys)

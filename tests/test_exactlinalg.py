@@ -9,6 +9,7 @@ from graphhomology.exactlinalg import (
     LinComb,
     NotAComplexError,
     SparseMatrix,
+    _chain_eliminate,
     _eliminate,
     chain_contraction,
     homology_dims,
@@ -473,6 +474,28 @@ def test_chain_contraction_of_random_complexes(boundaries, homology):
                 assert pi[k + 1].compose(con.h[k]).is_zero()
             if k + 1 < hi:
                 assert con.h[k + 1].compose(con.h[k]).is_zero()
+
+
+def test_chained_ranks_match_the_fraction_oracle():
+    # each d_k is eliminated without the rows that are pivot columns of
+    # d_{k-1}; the rank must still be that of the whole d_k, which the
+    # Fraction oracle computes
+    slices = [stripe("mixed", 2, 5), stripe("polygon", 0, 7),
+              *(stripe("core", loop, 2 * loop) for loop in (1, 2, 3))]
+    for boundaries, homology in (((2, 1, 2, 0), (1, 0, 2, 1)),
+                                 ((3, 3, 0, 2, 0), (0, 2, 1, 0, 3))):
+        for scaled in (False, True):
+            slices.append(_random_complex(random.Random(sum(boundaries)), boundaries,
+                                          homology, scaled))
+    for i, cx in enumerate(slices):
+        oracle = {k: _fraction_rank(mat) for k, mat in cx.d.items()}
+        chained = {k: len(cols) for k, cols in _chain_eliminate(cx)}
+        assert chained == oracle, i
+        lo, hi = cx.degrees
+        assert homology_dims(cx) == {
+            k: (len(cx.basis[k]) - oracle.get(k, 0) - oracle.get(k + 1, 0), lo < k < hi)
+            for k in range(lo, hi + 1)}, i
+        assert chain_contraction(cx).ranks == chained, i
 
 
 def test_chain_contraction_of_acyclic_two_term():

@@ -1,8 +1,8 @@
 """Every graphhomology module exports only names it defines, `exactlinalg`
 defines the one exception class, every refusal raises `ValueError`, only
 `exactlinalg` reaches into a `LinComb`, only `exactlinalg._assemble` builds a
-`SparseMatrix`, and only `homotopy.slice_from_bases` builds a
-`ChainComplexSlice`."""
+`SparseMatrix`, only `homotopy.slice_from_bases` builds a
+`ChainComplexSlice`, and only `rank` and the chained loop eliminate."""
 
 import ast
 import importlib
@@ -136,3 +136,22 @@ def test_every_chain_complex_slice_is_built_by_slice_from_bases():
     # every graph of each degree can honour
     found = _calls_outside("ChainComplexSlice", "homotopy", "slice_from_bases")
     assert not found, f"ChainComplexSlice built outside homotopy.slice_from_bases: {found}"
+
+
+def _callers(name: str) -> list[str]:
+    """module.definition for each line in `src/` that calls ``name``(...),
+    named by the top-level def or class around it."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            found += [f"{path.stem}.{getattr(node, 'name', '<module>')}"] * len(_calls(node, name))
+    return sorted(found)
+
+
+def test_only_rank_and_the_chained_loop_eliminate():
+    # rank takes one matrix; a slice's ranks come from the chained loop,
+    # which writes the rule that skips rows once, so no third elimination
+    # and no whole-matrix rank of a slice can come back
+    assert _callers("_eliminate") == ["exactlinalg._chain_eliminate", "exactlinalg.rank"]
+    assert "exactlinalg.homology_dims" not in _callers("rank")
